@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .factorizations import (
     betti_elements,
@@ -195,7 +196,11 @@ def _family_range(args, doc):
         lo, hi = doc["range"]
     else:
         raise ValueError('no parameter range: pass --range A B or put "range" in the spec file')
-    return range(lo, hi + 1, getattr(args, "step", 1) or 1)
+    if args.step <= 0:
+        raise ValueError(f"--step must be positive, got {args.step}")
+    if lo > hi:
+        raise ValueError(f"empty parameter range: start {lo} exceeds end {hi}")
+    return range(lo, hi + 1, args.step)
 
 
 def _user_to_internal(family, n: int) -> int:
@@ -322,7 +327,7 @@ def cmd_family_verify_pf(args) -> int:
 
 def _read_scan_rows(source) -> dict:
     """Parse a previously emitted scan (JSON payload or CSV n,value rows)."""
-    text = sys.stdin.read() if source == "-" else open(source, encoding="utf-8").read()
+    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
     text = text.strip()
     if text.startswith("{"):
         return {int(n): Fraction(str(v)) for n, v in json.loads(text)["rows"]}

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .semigroup import Semigroup
 
 
@@ -138,29 +136,7 @@ def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
     return FactorizationGraphSummary(t, tuple(comps))
 
 
-def _membership_list(S: Semigroup, limit: int) -> list[bool]:
-    """Membership bitmap for 0..limit as a plain list (O(1) lookups in loops)."""
-    d = S.d
-    tab = S._residue_table
-    m1 = len(tab)
-    if limit < 0:
-        return []
-    if limit < 2**62 and max(tab) < 2**62:
-        idx = np.arange(0, limit // d + 1, dtype=np.int64)
-        red = idx >= np.asarray(tab, dtype=np.int64)[idx % m1]
-        if d == 1:
-            return red.tolist()
-        mem = np.zeros(limit + 1, dtype=bool)
-        mem[::d] = red
-        return mem.tolist()
-    # exact fallback for generators beyond int64 range
-    mem = [False] * (limit + 1)
-    for t in range(0, limit + 1, d):
-        mem[t] = S._contains_reduced(t // d)
-    return mem
-
-
-def _component_count(t: int, gens: list[int], mem: list[bool]) -> int:
+def _component_count(S: Semigroup, t: int, gens) -> int:
     """Number of connected components of the factorization graph of t.
 
     Works on the graph over available generators instead: vertices are the
@@ -171,12 +147,13 @@ def _component_count(t: int, gens: list[int], mem: list[bool]) -> int:
     factorization using both g and h, so supports connect exactly when the
     factorizations do.
     """
-    avail = [g for g in gens if t >= g and mem[t - g]]
+    member = S.contains
+    avail = [g for g in gens if member(t - g)]
     n = len(avail)
     if n <= 1:
         return 1
     g0 = avail[0]
-    if all(t >= g0 + u and mem[t - g0 - u] for u in avail[1:]):
+    if all(member(t - g0 - u) for u in avail[1:]):
         return 1  # star through the smallest available generator
     parent = list(range(n))
 
@@ -189,8 +166,7 @@ def _component_count(t: int, gens: list[int], mem: list[bool]) -> int:
     comps = n
     for i in range(n):
         for j in range(i + 1, n):
-            s = t - avail[i] - avail[j]
-            if s >= 0 and mem[s]:
+            if member(t - avail[i] - avail[j]):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
@@ -198,41 +174,38 @@ def _component_count(t: int, gens: list[int], mem: list[bool]) -> int:
     return comps
 
 
-def betti_bound(S: Semigroup) -> int:
-    """Upper bound for Betti elements: frobenius + smallest + largest generator.
-
-    For t above this bound, t - g - h exceeds the Frobenius number for every
-    pair of generators g, h, so every generator is available and adjacent to
-    the smallest one: the graph is connected.
-    """
-    gens = S.generators
-    return S.frobenius() + min(gens) + max(gens)
+def _betti_search(S: Semigroup) -> dict[int, int]:
+    """Betti elements of S by component counts over the Apery candidates
+    (see :func:`betti_elements`)."""
+    gens = sorted(S.generators)
+    g1, others = gens[0], gens[1:]
+    apery = S.apery_set(g1).elements
+    candidates = sorted({w + g for w in apery for g in others})
+    out: dict[int, int] = {}
+    for t in candidates:
+        comps = _component_count(S, t, gens)
+        if comps > 1:
+            out[t] = comps - 1
+    return out
 
 
 def betti_elements(S: Semigroup) -> dict[int, int]:
     """All elements with disconnected factorization graph, mapped to
     (number of components - 1), ascending.
 
-    Scans the multiples of d up to the Betti bound, then asserts the window
-    (bound, bound + largest generator] really is connected.
+    Only the candidates w + g_i are examined, with w in Ap(S; g_1), g_1 the
+    smallest generator and g_i any other generator: at most (g_1/d)(k-1) of
+    them.  They cover every Betti element b.  A disconnected graph has a
+    component that does not use g_1, since all factorizations using g_1 are
+    mutually adjacent.  Take a factorization z in that component and a
+    generator g_i in its support.  If b - g_i - g_1 were in S, a factorization
+    using both g_i and g_1 would join z to the g_1 component; so b - g_i is in
+    Ap(S; g_1).
+
+    The result is computed once per instance and cached on it; each call
+    returns a fresh dict.
     """
-    d = S.d
-    gens = sorted(S.generators)
-    bound = betti_bound(S)
-    limit = bound + gens[-1]
-    mem = _membership_list(S, limit)
-    out: dict[int, int] = {}
-    for t in range(d, limit + 1, d):
-        if not mem[t]:
-            continue
-        comps = _component_count(t, gens, mem)
-        if comps > 1:
-            if t > bound:
-                raise RuntimeError(
-                    f"disconnected factorization graph at {t} beyond the Betti bound {bound}"
-                )
-            out[t] = comps - 1
-    return out
+    return dict(S._betti)
 
 
 def minimal_presentation(S: Semigroup) -> tuple[Relation, ...]:

@@ -22,7 +22,7 @@ class Semigroup:
     factorization exponent vectors always follow ``self.generators`` order.
 
     Instances are immutable after construction; the lazily built membership
-    tables are idempotent, so concurrent readers are safe.
+    tables and Betti data are idempotent, so concurrent readers are safe.
     """
 
     def __init__(self, generators, keep_order: bool = False):
@@ -89,6 +89,13 @@ class Semigroup:
                     heapq.heappush(heap, (nval, nrho))
         # every residue is reachable because the reduced generators have gcd 1
         return dist  # type: ignore[return-value]
+
+    @cached_property
+    def _betti(self) -> dict[int, int]:
+        """Betti elements with multiplicities, searched once per instance."""
+        from .factorizations import _betti_search  # that module imports this one
+
+        return _betti_search(self)
 
     def _contains_reduced(self, t: int) -> bool:
         if t < 0:

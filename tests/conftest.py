@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -37,6 +38,38 @@ def brute_factorization_table(gens, bound):
                 for z in table[t - g]:
                     acc.add(z[:i] + (z[i] + 1,) + z[i + 1:])
     return table
+
+
+def brute_betti_elements(gens):
+    """Betti elements by scanning every element up to the Betti bound
+    F + g_1 + g_k, with component counts taken from brute_factorization_table
+    (two factorizations are adjacent when their supports meet), ascending.
+
+    Also asserts that the window (bound, bound + g_k] holds no disconnected
+    element.
+    """
+    d = gcd(*gens)
+    reduced = [g // d for g in gens]
+    # the reduced semigroup has gcd 1, so its Frobenius number is below
+    # min * max (Schur's bound)
+    top = min(reduced) * max(reduced)
+    members = brute_members(reduced, top)
+    frobenius = d * max((t for t in range(top) if t not in members), default=-1)
+    bound = frobenius + min(gens) + max(gens)
+    table = brute_factorization_table(gens, bound + max(gens))
+    out = {}
+    for t in range(1, len(table)):
+        comps = []  # merged supports, one per component of the factorization graph
+        for z in table[t]:
+            support = {i for i, c in enumerate(z) if c}
+            for comp in [c for c in comps if c & support]:
+                support |= comp
+                comps.remove(comp)
+            comps.append(support)
+        if len(comps) > 1:
+            assert t <= bound, f"disconnected element {t} beyond the Betti bound {bound} of {gens}"
+            out[t] = len(comps) - 1
+    return out
 
 
 def brute_members(gens, bound):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,46 @@ class TestFamily:
         spec = spec_file({"w": [2, 3], "r": [2, 3]})
         code, _, err = run(capsys, "family", "--spec", spec, "verify-phi", "--n", "10")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize(
+        "subcommand",
+        [
+            ["scan", "--invariant", "frobenius"],
+            ["verify-apery"],
+            ["fit", "--invariant", "frobenius", "--degree", "2", "--period", "2"],
+        ],
+        ids=["scan", "verify-apery", "fit"],
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["--range", "5", "11", "--step", "0"], "--step must be positive"),
+            (["--range", "5", "11", "--step", "-1"], "--step must be positive"),
+            (["--range", "11", "5"], "start 11 exceeds end 5"),
+        ],
+        ids=["step-zero", "step-negative", "inverted-range"],
+    )
+    def test_rejects_empty_parameter_ranges(self, capsys, spec_file, subcommand, bad, message):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        code, out, err = run(capsys, "family", "--spec", spec, *subcommand, *bad)
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_fit_from_file_closes_it(self, spec_file, tmp_path):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        saved = tmp_path / "scan.csv"
+        saved.write_text("".join(f"{n},{n * n}\n" for n in range(5, 15)))
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "numsgps.cli",
+             "family", "--spec", spec, "fit", "--invariant", "frobenius",
+             "--degree", "2", "--period", "1", "--from", str(saved), "--json"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
+        assert json.loads(proc.stdout)["leading_coefficient"] == "1"
 
     def test_regime_mismatch_exit_code(self, capsys, spec_file, monkeypatch):
         # force a failing report inside the guaranteed regime: exit must be 2

@@ -3,10 +3,9 @@ from math import gcd
 
 import pytest
 
-from conftest import brute_factorization_table, random_generators
+from conftest import brute_betti_elements, brute_factorization_table, random_generators
 from numsgps import (
     Semigroup,
-    betti_bound,
     betti_elements,
     connects_under_relations,
     delta_of_element,
@@ -121,20 +120,59 @@ class TestBettiElements:
     def test_redundant_generator_creates_betti_element(self):
         assert 7 in betti_elements(Semigroup([2, 3, 7]))
 
-    def test_matches_graph_scan(self):
+    @staticmethod
+    def _oracle_cases():
         rng = random.Random(41)
-        for _ in range(10):
-            gens = random_generators(rng)
-            S = Semigroup(gens)
-            betti = betti_elements(S)
-            for t in S.elements_up_to(betti_bound(S)):
-                if t == 0:
-                    continue
-                graph = factorization_graph(S, t)
-                if graph.is_connected:
-                    assert t not in betti, (gens, t)
-                else:
-                    assert betti[t] == graph.multiplicity, (gens, t)
+        for _ in range(80):
+            yield Semigroup(random_generators(rng))
+        for _ in range(40):  # gcd > 1
+            scale = rng.choice((2, 3, 5))
+            yield Semigroup([scale * g for g in random_generators(rng, hi=12)])
+        for _ in range(40):  # a redundant generator: a sum of two others
+            gens = random_generators(rng, max_k=3)
+            yield Semigroup(gens + (rng.choice(gens) + rng.choice(gens),))
+        for _ in range(40):  # supplied order kept, not sorted
+            gens = list(random_generators(rng))
+            while gens == sorted(gens):
+                rng.shuffle(gens)
+            yield Semigroup(gens, keep_order=True)
+        for g in (1, 2, 7):  # k = 1
+            yield Semigroup([g])
+        yield Semigroup([2, 3, 7])
+
+    def test_matches_graph_scan(self):
+        for S in self._oracle_cases():
+            gens = S.generators
+            want = brute_betti_elements(gens)
+            got = betti_elements(S)
+            assert got == want, gens
+            assert list(got) == list(want), gens  # ascending keys
+            # each Betti element is w + g_i with w in Ap(S; g_1) and g_i != g_1
+            g1 = min(gens)
+            for b in got:
+                assert any(
+                    S.contains(b - g) and not S.contains(b - g - g1) for g in gens if g != g1
+                ), (gens, b)
+
+    def test_huge_generators_scale_exactly(self):
+        # the bitmap scan to the Betti bound would need about 2**67 entries here
+        D = 2**64
+        assert betti_elements(Semigroup([3 * D, 5 * D])) == {15 * D: 1}
+        S = Semigroup([6 * D, 9 * D, 20 * D])
+        assert betti_elements(S) == {18 * D: 1, 60 * D: 1}
+        rels = minimal_presentation(S)
+        assert [r.degree for r in rels] == [18 * D, 60 * D]
+        assert (rels[0].left, rels[0].right) == ((3, 0, 0), (0, 2, 0))
+        assert rels[1].right == (0, 0, 3)
+        assert verify_minimal_presentation(S, rels) == []
+        assert [r.degree for r in minimal_presentation(Semigroup([3 * D, 5 * D]))] == [15 * D]
+
+    def test_fresh_dict_per_call(self):
+        S = Semigroup([6, 9, 20])
+        first = betti_elements(S)
+        first[18] = 99
+        first[7] = 1
+        assert betti_elements(S) == {18: 1, 60: 1}
 
     def test_invariant_under_generator_permutation(self):
         rng = random.Random(43)
