@@ -218,10 +218,7 @@ def cmd_family_scan(args) -> int:
     rows = [(u, v) for u, (_, v) in zip(ns, rows)]
     payload = {"invariant": args.invariant, "rows": [[n, _jsonable(v)] for n, v in rows]}
     table = [("n", args.invariant)] + rows if not (args.json or args.csv) else rows
-    if args.json:
-        _emit(payload, rows, args)
-    else:
-        _emit(payload, table, args)
+    _emit(payload, table, args)
     return EXIT_OK
 
 

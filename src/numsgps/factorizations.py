@@ -46,6 +46,31 @@ class FactorizationGraphSummary:
         return len(self.components) - 1
 
 
+class _Forest:
+    """Union-find over 0..n-1 with path halving; ``count`` is the number of
+    components."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.count = n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the components of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        self.count -= 1
+        return True
+
+
 def factorizations(S: Semigroup, t: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors z >= 0 with z . generators = t, sorted; empty iff t is not in S.
 
@@ -106,19 +131,7 @@ def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
     zs = factorizations(S, t)
     if not zs:
         raise ValueError(f"{t} is not an element of {S!r}")
-    parent = list(range(len(zs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    forest = _Forest(len(zs))
     # all factorizations with a positive i-th coordinate are mutually adjacent,
     # so union them in one chain per coordinate
     for i in range(S.k):
@@ -128,10 +141,10 @@ def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
                 if first is None:
                     first = idx
                 else:
-                    union(first, idx)
+                    forest.union(first, idx)
     groups: dict[int, list[tuple[int, ...]]] = {}
     for idx, z in enumerate(zs):
-        groups.setdefault(find(idx), []).append(z)
+        groups.setdefault(forest.find(idx), []).append(z)
     comps = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
     return FactorizationGraphSummary(t, tuple(comps))
 
@@ -155,23 +168,12 @@ def _component_count(S: Semigroup, t: int, gens) -> int:
     g0 = avail[0]
     if all(member(t - g0 - u) for u in avail[1:]):
         return 1  # star through the smallest available generator
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
+    forest = _Forest(n)
     for i in range(n):
         for j in range(i + 1, n):
             if member(t - avail[i] - avail[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-                    comps -= 1
-    return comps
+                forest.union(i, j)
+    return forest.count
 
 
 def _betti_search(S: Semigroup) -> dict[int, int]:
@@ -260,25 +262,13 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
     for beta, rels in sorted(by_degree.items()):
         comps = factorization_graph(S, beta).components
         where = {z: i for i, comp in enumerate(comps) for z in comp}
-        parent = list(range(len(comps)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merges = 0
+        forest = _Forest(len(comps))
         for rel in rels:
             if rel.left not in where or rel.right not in where:
                 problems.append(f"relation {rel} uses a vector that does not factor {beta}")
-                continue
-            a, b = find(where[rel.left]), find(where[rel.right])
-            if a == b:
+            elif not forest.union(where[rel.left], where[rel.right]):
                 problems.append(f"relation {rel} is redundant (same component of degree {beta})")
-            else:
-                parent[b] = a
-                merges += 1
+        merges = len(comps) - forest.count
         if merges != len(comps) - 1:
             problems.append(
                 f"relations of degree {beta} merge {merges} of {len(comps) - 1} needed components"
@@ -293,14 +283,7 @@ def connects_under_relations(S: Semigroup, relations, t: int) -> bool:
     if len(zs) <= 1:
         return True
     index = {z: i for i, z in enumerate(zs)}
-    parent = list(range(len(zs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    forest = _Forest(len(zs))
     pairs = []
     for rel in relations:
         pairs.append((rel.left, rel.right))
@@ -314,10 +297,8 @@ def connects_under_relations(S: Semigroup, relations, t: int) -> bool:
             other = tuple(x + y for x, y in zip(u, b))
             oi = index.get(other)
             if oi is not None:
-                ra, rb = find(zi), find(oi)
-                if ra != rb:
-                    parent[rb] = ra
-    return len({find(i) for i in range(len(zs))}) == 1
+                forest.union(zi, oi)
+    return forest.count == 1
 
 
 def delta_set_up_to(S: Semigroup, bound: int) -> tuple[int, ...]:

@@ -42,6 +42,33 @@ def _poly_eval(coeffs, n) -> Fraction:
     return acc
 
 
+def _classes(samples, period: int, degree: int) -> dict[int, list[tuple[int, Fraction]]]:
+    """Samples split by residue class mod period, each class sorted by n;
+    raises when there are none or a class has fewer than degree + 2."""
+    classes: dict[int, list[tuple[int, Fraction]]] = {}
+    for n, v in samples.items():
+        classes.setdefault(n % period, []).append((int(n), Fraction(v)))
+    if not classes:
+        raise ValueError("no samples")
+    for s, pts in classes.items():
+        pts.sort()
+        if len(pts) < degree + 2:
+            raise ValueError(
+                f"residue class {s} (mod {period}) has {len(pts)} samples, needs {degree + 2}"
+            )
+    return classes
+
+
+def _anchor(pts, degree: int):
+    """The polynomial through the newest degree + 1 points of a sorted class,
+    and the largest older n it misses (None when it reproduces them all)."""
+    poly = _interpolate(pts[-(degree + 1):])
+    for n, v in reversed(pts[:-(degree + 1)]):
+        if _poly_eval(poly, n) != v:
+            return poly, n
+    return poly, None
+
+
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """Degree-``degree`` polynomial with period-``period`` coefficients.
@@ -87,27 +114,11 @@ def fit(samples, period: int, degree: int):
         raise ValueError("period must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    classes: dict[int, list[tuple[int, Fraction]]] = {}
-    for n, v in samples.items():
-        classes.setdefault(n % period, []).append((int(n), Fraction(v)))
-    if not classes:
-        raise ValueError("no samples")
-    for s, pts in classes.items():
-        pts.sort()
-        if len(pts) < degree + 2:
-            raise ValueError(
-                f"residue class {s} (mod {period}) has {len(pts)} samples, needs {degree + 2}"
-            )
-
+    classes = _classes(samples, period, degree)
     columns: dict[int, list[Fraction]] = {}
     thresholds = []
     for s, pts in sorted(classes.items()):
-        poly = _interpolate(pts[-(degree + 1):])
-        largest_bad = None
-        for n, v in reversed(pts[:-(degree + 1)]):
-            if _poly_eval(poly, n) != v:
-                largest_bad = n
-                break
+        poly, largest_bad = _anchor(pts, degree)
         if largest_bad is None:
             thresholds.append(pts[0][0])
         else:
@@ -140,27 +151,13 @@ def detect(samples, max_period: int, max_degree: int):
 
     Candidates are scanned with degree as the major key, so the result is the
     lexicographically least (degree, period) admitting an exact fit of the
-    whole sample set.
+    whole sample set.  A candidate with a residue class of fewer than
+    degree + 2 samples raises ValueError, as in :func:`fit`.
     """
-    items = sorted((int(n), Fraction(v)) for n, v in samples.items())
-    if not items:
-        raise ValueError("no samples")
     for degree in range(max_degree + 1):
         for period in range(1, max_period + 1):
-            classes: dict[int, list[tuple[int, Fraction]]] = {}
-            for n, v in items:
-                classes.setdefault(n % period, []).append((n, v))
-            if any(len(pts) < degree + 2 for pts in classes.values()):
-                raise ValueError(
-                    f"too few samples to test period {period}, degree {degree}"
-                )
-            ok = True
-            for pts in classes.values():
-                poly = _interpolate(pts[-(degree + 1):])
-                if any(_poly_eval(poly, n) != v for n, v in pts[:-(degree + 1)]):
-                    ok = False
-                    break
-            if ok:
+            classes = _classes(samples, period, degree)
+            if all(_anchor(pts, degree)[1] is None for pts in classes.values()):
                 return period, degree
     return None
 

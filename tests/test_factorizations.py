@@ -5,6 +5,7 @@ import pytest
 
 from conftest import brute_betti_elements, brute_factorization_table, random_generators
 from numsgps import (
+    Relation,
     Semigroup,
     betti_elements,
     connects_under_relations,
@@ -233,3 +234,33 @@ class TestMinimalPresentation:
         assert verify_minimal_presentation(S, rels[:1])  # missing a relation
         doubled = rels + rels[:1]
         assert verify_minimal_presentation(S, doubled)  # redundant relation
+
+    def test_verifier_messages(self):
+        S = Semigroup([6, 9, 20])
+        rels = minimal_presentation(S)
+        short = "degree multiset [18] != Betti elements with multiplicity [18, 60]"
+        cases = [
+            ([Relation((3, 0), (0, 2), 18)],
+             ["relation Relation(left=(3, 0), right=(0, 2), degree=18) has wrong arity"]),
+            ([Relation((3, 0, 0), (0, 2, 0), 20)],
+             ["relation Relation(left=(3, 0, 0), right=(0, 2, 0), degree=20) sides factor "
+              "18 and 18, degree says 20"]),
+            ([Relation((-3, 4, 0), (3, 0, 0), 18)],
+             [short,
+              "relation Relation(left=(-3, 4, 0), right=(3, 0, 0), degree=18) uses a vector "
+              "that does not factor 18",
+              "relations of degree 18 merge 0 of 1 needed components"]),
+            (rels[:1], [short]),
+            (rels + rels[:1],
+             ["degree multiset [18, 18, 60] != Betti elements with multiplicity [18, 60]",
+              "relation Relation(left=(3, 0, 0), right=(0, 2, 0), degree=18) is redundant "
+              "(same component of degree 18)"]),
+        ]
+        for relations, problems in cases:
+            assert verify_minimal_presentation(S, relations) == problems, relations
+
+    def test_partial_presentation_does_not_chain(self):
+        S = Semigroup([6, 9, 20])
+        rels = minimal_presentation(S)
+        assert not connects_under_relations(S, rels[:1], 60)
+        assert connects_under_relations(S, rels, 60)

@@ -107,6 +107,29 @@ class TestDetect:
         samples = {n: n * n for n in range(24)}
         assert detect(samples, 4, 3) == (1, 2)
 
+    def test_no_samples(self):
+        with pytest.raises(ValueError, match="no samples"):
+            detect({}, 2, 1)
+
+    def test_short_class_raises_like_fit(self):
+        with pytest.raises(ValueError, match=r"residue class 1 \(mod 2\) has 1 samples, needs 2"):
+            detect({0: 1, 1: 2, 2: 3}, 3, 1)
+
+    def test_fit_reproduces_detected_samples(self):
+        S = Semigroup([6, 9, 10, 14])
+        hi, lo = weighted_extreme_tables(S, (2, 3, 5, 7), 320)
+        inputs = [
+            ({n: 2 * n + 5 for n in range(20)}, 4, 3),
+            ({n: n + (7 if n % 2 else 3) for n in range(30)}, 4, 2),
+            ({n: hi[n] for n in range(250, 311)}, 6, 2),
+            ({n: lo[n] for n in range(250, 311)}, 6, 2),
+            ({n: n * n for n in range(24)}, 4, 3),
+        ]
+        for samples, max_period, max_degree in inputs:
+            period, degree = detect(samples, max_period, max_degree)
+            qp = fit(samples, period, degree)
+            assert all(qp.evaluate(n) == v for n, v in samples.items()), (period, degree)
+
 
 class TestLeadingCoefficient:
     def test_collapses_when_uniform(self):
