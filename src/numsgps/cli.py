@@ -17,11 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .factorizations import (
-    betti_elements,
-    delta_set_up_to,
-    minimal_presentation,
-)
+from .factorizations import betti_elements, minimal_presentation
 from .parametric import (
     LinearFamily,
     SCAN_INVARIANTS,
@@ -35,6 +31,7 @@ from .parametric import (
 from .quasipoly import FitMismatch, fit, leading_coefficient
 from .semigroup import Semigroup
 from .weighted import (
+    delta_set_up_to,
     delta_w_of_element,
     max_delta_w,
     min_delta_w,
@@ -466,6 +463,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except ZeroDivisionError as exc:  # a rational input such as 1/0
+        print(f"error: zero denominator in {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

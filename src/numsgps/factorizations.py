@@ -1,5 +1,5 @@
-"""Factorization sets, length/delta sets, factorization graphs, Betti elements,
-and minimal presentations.
+"""Factorization sets, factorization graphs, Betti elements, and minimal
+presentations.
 
 A factorization of t is an exponent vector z with z . generators = t; all
 functions here bind exponent vectors to ``S.generators`` order.
@@ -104,26 +104,6 @@ def factorizations(S: Semigroup, t: int) -> tuple[tuple[int, ...], ...]:
 
     rec(0, t)
     return tuple(sorted(out))
-
-
-def length_set(S: Semigroup, t: int) -> tuple[int, ...]:
-    """Sorted set of factorization lengths of t (t must be an element)."""
-    zs = factorizations(S, t)
-    if not zs:
-        raise ValueError(f"{t} is not an element of {S!r}")
-    return tuple(sorted({sum(z) for z in zs}))
-
-
-def delta_of_element(S: Semigroup, t: int) -> tuple[int, ...]:
-    """Set of successive gaps of the length set of t, sorted."""
-    ls = length_set(S, t)
-    return tuple(sorted({b - a for a, b in zip(ls, ls[1:])}))
-
-
-def max_min_length(S: Semigroup, t: int) -> tuple[int, int]:
-    """(max, min) factorization length of t."""
-    ls = length_set(S, t)
-    return ls[-1], ls[0]
 
 
 def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
@@ -299,12 +279,3 @@ def connects_under_relations(S: Semigroup, relations, t: int) -> bool:
             if oi is not None:
                 forest.union(zi, oi)
     return forest.count == 1
-
-
-def delta_set_up_to(S: Semigroup, bound: int) -> tuple[int, ...]:
-    """Union of the delta sets of all elements <= bound (brute force)."""
-    out = set()
-    for t in S.elements_up_to(bound):
-        ls = length_set(S, t)
-        out.update(b - a for a, b in zip(ls, ls[1:]))
-    return tuple(sorted(out))

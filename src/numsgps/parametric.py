@@ -178,13 +178,29 @@ class PolynomialFamily:
         return Semigroup(gens, keep_order=True)
 
 
+def _ints(value, key: str) -> tuple[int, ...]:
+    """A spec entry that must be an array of integers: no floats, strings,
+    booleans or nulls."""
+    if not isinstance(value, (list, tuple)) or any(type(x) is not int for x in value):
+        raise ValueError(f'spec "{key}" must be a list of integers, got {value!r}')
+    return tuple(value)
+
+
 def family_from_spec(doc: dict):
     """Build a family from its JSON document: {"w": [...], "r": [...]} for a
-    linear family (normalized on load) or {"polys": [[c0, c1, ...], ...]}."""
+    linear family (normalized on load) or {"polys": [[c0, c1, ...], ...]},
+    with an optional "range": [a, b].  Every array must hold integers."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"family spec must be a JSON object, got {doc!r}")
+    if "range" in doc and len(_ints(doc["range"], "range")) != 2:
+        raise ValueError(f'spec "range" must be [start, end], got {doc["range"]!r}')
     if "w" in doc and "r" in doc:
-        return LinearFamily.normalize(doc["w"], doc["r"])
+        return LinearFamily.normalize(_ints(doc["w"], "w"), _ints(doc["r"], "r"))
     if "polys" in doc:
-        return PolynomialFamily(tuple(tuple(int(c) for c in p) for p in doc["polys"]))
+        polys = doc["polys"]
+        if not isinstance(polys, (list, tuple)):
+            raise ValueError(f'spec "polys" must be a list of integer lists, got {polys!r}')
+        return PolynomialFamily(tuple(_ints(p, "polys") for p in polys))
     raise ValueError('family spec needs either "w" and "r" or "polys"')
 
 

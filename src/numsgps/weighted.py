@@ -1,8 +1,12 @@
-"""Weighted factorization lengths, w-orderings, weighted delta sets, and the
-quasilinear recurrences of the extreme weighted length functions.
+"""Factorization lengths, weighted and unweighted, w-orderings, (weighted)
+delta sets, and the quasilinear recurrences of the extreme weighted length
+functions.
 
-Weights are exact rationals; every result is a Fraction (or int where the
-value is integral by construction).  All functions are pure.
+Ordinary length is the weighted length for w = (1, ..., 1).  Weights are
+exact rationals, scaled once to integers over their common denominator; the
+length code works on those integers and divides by the denominator only at
+the API edge.  Weighted results are Fractions, unweighted ones ints.  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
 from math import gcd, lcm
 
 from .factorizations import betti_elements, factorizations
@@ -27,11 +32,27 @@ def rational_gcd(values) -> Fraction:
     return Fraction(num, den)
 
 
-def _check_weights(S: Semigroup, w) -> tuple[Fraction, ...]:
+def _scaled(S: Semigroup, w) -> tuple[tuple[Fraction, ...], list[int], int]:
+    """(ws, iw, den): the weights as Fractions, and as integers iw = ws * den
+    over their least common denominator den."""
     ws = tuple(Fraction(x) for x in w)
     if len(ws) != S.k:
         raise ValueError(f"{len(ws)} weights for {S.k} generators")
-    return ws
+    den = reduce(lcm, (x.denominator for x in ws), 1)
+    return ws, [x.numerator * (den // x.denominator) for x in ws], den
+
+
+def _lengths(S: Semigroup, t: int, iw) -> list[int]:
+    """Sorted distinct integer lengths z . iw over Z(t); t must be an element."""
+    zs = factorizations(S, t)
+    if not zs:
+        raise ValueError(f"{t} is not an element of {S!r}")
+    return sorted({sum(c * x for c, x in zip(z, iw)) for z in zs})
+
+
+def _gaps(ls) -> list:
+    """Sorted set of successive differences of a sorted sequence."""
+    return sorted({b - a for a, b in zip(ls, ls[1:])})
 
 
 def weighted_length(z, w) -> Fraction:
@@ -66,26 +87,17 @@ class WOrdering:
 
 def w_ordering(S: Semigroup, w) -> WOrdering:
     """Order generator indices by descending w_i / g_i, grouping ties."""
-    ws = _check_weights(S, w)
+    ws, _, _ = _scaled(S, w)
     gens = S.generators
-    idx = sorted(range(S.k), key=lambda i: (-Fraction(ws[i], gens[i]), gens[i]))
-    blocks: list[list[int]] = []
-    for i in idx:
-        ratio = Fraction(ws[i], gens[i])
-        if blocks and Fraction(ws[blocks[-1][0]], gens[blocks[-1][0]]) == ratio:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return WOrdering(ws, tuple(tuple(b) for b in blocks))
+    ratio = lambda i: Fraction(ws[i], gens[i])
+    idx = sorted(range(S.k), key=lambda i: (-ratio(i), gens[i]))
+    return WOrdering(ws, tuple(tuple(block) for _, block in groupby(idx, key=ratio)))
 
 
 def weighted_length_set(S: Semigroup, t: int, w) -> tuple[Fraction, ...]:
     """Sorted set of weighted lengths over Z(t); t must be an element."""
-    ws = _check_weights(S, w)
-    zs = factorizations(S, t)
-    if not zs:
-        raise ValueError(f"{t} is not an element of {S!r}")
-    return tuple(sorted({weighted_length(z, ws) for z in zs}))
+    _, iw, den = _scaled(S, w)
+    return tuple(Fraction(v, den) for v in _lengths(S, t, iw))
 
 
 def weighted_extremes(S: Semigroup, t: int, w) -> tuple[Fraction, Fraction]:
@@ -96,8 +108,24 @@ def weighted_extremes(S: Semigroup, t: int, w) -> tuple[Fraction, Fraction]:
 
 def delta_w_of_element(S: Semigroup, t: int, w) -> tuple[Fraction, ...]:
     """Set of successive gaps of the weighted length set of t, sorted."""
-    ls = weighted_length_set(S, t, w)
-    return tuple(sorted({b - a for a, b in zip(ls, ls[1:])}))
+    _, iw, den = _scaled(S, w)
+    return tuple(Fraction(g, den) for g in _gaps(_lengths(S, t, iw)))
+
+
+def length_set(S: Semigroup, t: int) -> tuple[int, ...]:
+    """Sorted set of factorization lengths of t (t must be an element)."""
+    return tuple(_lengths(S, t, [1] * S.k))
+
+
+def delta_of_element(S: Semigroup, t: int) -> tuple[int, ...]:
+    """Set of successive gaps of the length set of t, sorted."""
+    return tuple(_gaps(_lengths(S, t, [1] * S.k)))
+
+
+def max_min_length(S: Semigroup, t: int) -> tuple[int, int]:
+    """(max, min) factorization length of t."""
+    ls = _lengths(S, t, [1] * S.k)
+    return ls[-1], ls[0]
 
 
 def min_delta_w(S: Semigroup, w) -> Fraction:
@@ -107,42 +135,33 @@ def min_delta_w(S: Semigroup, w) -> Fraction:
     gcd over pairs of |w_i g_j - w_j g_i| with the generators divided by their
     gcd first: scaling generators leaves every factorization (hence every
     weighted length set) unchanged, so the formula must be evaluated on the
-    gcd-1 tuple.
+    gcd-1 tuple.  Evaluated on the integer weights, then divided by their
+    denominator.
     """
-    ws = _check_weights(S, w)
+    _, iw, den = _scaled(S, w)
     red = S._reduced
-    terms = [
-        ws[i] * red[j] - ws[j] * red[i]
-        for i in range(S.k)
-        for j in range(i + 1, S.k)
-    ]
-    return rational_gcd(terms)
+    return Fraction(
+        gcd(*(iw[i] * red[j] - iw[j] * red[i] for i in range(S.k) for j in range(i + 1, S.k))),
+        den,
+    )
 
 
 def max_delta_w(S: Semigroup, w):
     """Maximum of the weighted delta set: largest gap over the Betti elements.
     None when the weighted delta set is empty."""
-    ws = _check_weights(S, w)
+    ws, iw, den = _scaled(S, w)
     if min_delta_w(S, ws) == 0:
         return None
-    gaps = []
-    for beta in betti_elements(S):
-        gaps.extend(delta_w_of_element(S, beta, ws))
+    gaps = [g for beta in betti_elements(S) for g in _gaps(_lengths(S, beta, iw))]
     if not gaps:
         raise RuntimeError("nonzero minimum delta but no gap at any Betti element")
-    return max(gaps)
-
-
-def _integerized(ws: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    den = reduce(lcm, (w.denominator for w in ws), 1)
-    return [int(w * den) for w in ws], den
+    return Fraction(max(gaps), den)
 
 
 def weighted_extreme_tables(S: Semigroup, w, limit: int):
     """DP tables of the max and min weighted length for every element
     0..limit; None at non-elements.  Returns (max_table, min_table)."""
-    ws = _check_weights(S, w)
-    iw, den = _integerized(ws)
+    _, iw, den = _scaled(S, w)
     gens = S.generators
     d = S.d
     hi: list[int | None] = [None] * (limit + 1)
@@ -192,7 +211,7 @@ def verify_weighted_recurrences(S: Semigroup, w, horizon: int) -> WeightedRecurr
     Failures must all lie at or below the largest generator squared; the scan
     raises if one appears beyond it.
     """
-    ws = _check_weights(S, w)
+    ws, _, _ = _scaled(S, w)
     threshold = max(S.generators) ** 2
     if horizon <= threshold:
         raise ValueError(f"horizon {horizon} must exceed {threshold} (largest generator squared)")
@@ -231,8 +250,7 @@ def weighted_delta_profile(S: Semigroup, w, bound: int) -> dict[int, tuple[Fract
     accumulated bottom-up as bitmasks (one bit per attainable scaled length),
     so the cost stays polynomial even when factorization counts explode.
     """
-    ws = _check_weights(S, w)
-    iw, den = _integerized(ws)
+    _, iw, den = _scaled(S, w)
     gens = S.generators
     d = S.d
     depth = bound // min(gens) + 1
@@ -263,3 +281,9 @@ def weighted_delta_union_up_to(S: Semigroup, w, bound: int) -> tuple[Fraction, .
     for gaps in weighted_delta_profile(S, w, bound).values():
         out.update(gaps)
     return tuple(sorted(out))
+
+
+def delta_set_up_to(S: Semigroup, bound: int) -> tuple[int, ...]:
+    """Union of the delta sets of all elements <= bound: the bitmask
+    brute-forcer for unit weights."""
+    return tuple(int(g) for g in weighted_delta_union_up_to(S, [1] * S.k, bound))

@@ -94,6 +94,11 @@ class TestDelta:
         code, out, _ = run(capsys, "delta", "6", "9", "20")
         assert "union over Betti elements" in out
 
+    def test_zero_denominator_weight(self, capsys):
+        code, out, err = run(capsys, "delta", "6", "9", "20", "--weights", "1", "1/0")
+        assert code == 1 and out == ""
+        assert err == "error: zero denominator in Fraction(1, 0)\n"
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -216,6 +221,33 @@ class TestFamily:
         code, out, err = run(capsys, "family", "--spec", spec, *subcommand, *bad)
         assert code == 1 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"w": [1.5, 2], "r": [0, 1]}, 'spec "w" must be a list of integers, got [1.5, 2]'),
+            ({"w": "12", "r": [0, 1]}, 'spec "w" must be a list of integers'),
+            ({"w": [1, 2], "r": [0, None]}, 'spec "r" must be a list of integers'),
+            ({"polys": [[0, 1], [3, 1.0]]}, 'spec "polys" must be a list of integers'),
+            ({"w": [1, 2], "r": [0, 1], "range": [5]}, 'spec "range" must be [start, end]'),
+        ],
+        ids=["float-weight", "string-weights", "null-entry", "float-coefficient", "short-range"],
+    )
+    def test_rejects_malformed_spec(self, capsys, spec_file, doc, message):
+        spec = spec_file(doc)
+        code, out, err = run(capsys, "family", "--spec", spec, "scan",
+                             "--invariant", "frobenius", "--range", "6", "7")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_fit_from_scan_with_zero_denominator(self, capsys, spec_file, tmp_path):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        saved = tmp_path / "scan.csv"
+        saved.write_text("5,1\n6,1/0\n")
+        code, out, err = run(capsys, "family", "--spec", spec, "fit", "--invariant", "frobenius",
+                             "--degree", "1", "--period", "1", "--from", str(saved))
+        assert code == 1 and out == ""
+        assert err == "error: zero denominator in Fraction(1, 0)\n"
 
     def test_fit_from_file_closes_it(self, spec_file, tmp_path):
         spec = spec_file({"w": [1, 1], "r": [0, 2]})

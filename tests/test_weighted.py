@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_weighted_length_sets, random_generators, random_weights
+from conftest import brute_length_sets, brute_weighted_length_sets, random_generators, random_weights
 from numsgps import (
     Semigroup,
     delta_of_element,
+    delta_set_up_to,
     delta_w_of_element,
     factorizations,
     length_set,
     max_delta_w,
+    max_min_length,
     min_delta_w,
     rational_gcd,
     verify_weighted_recurrences,
@@ -82,6 +84,53 @@ class TestWeightedLengthSets:
         S = Semigroup([6, 9, 20])
         for t in S.elements_up_to(150):
             assert weighted_length_set(S, t, S.generators) == (t,)
+
+
+def _unit_weight_cases():
+    rng = random.Random(23)
+    cases = [Semigroup(random_generators(rng)) for _ in range(6)]
+    cases += [
+        Semigroup([4, 6, 10]),  # gcd 2
+        Semigroup([6, 9, 12, 20]),  # 12 = 6 + 6 is redundant
+        Semigroup([7]),
+        Semigroup((20, 6, 9), keep_order=True),
+    ]
+    return cases
+
+
+class TestUnitWeightLengths:
+    """The unweighted functions against the bottom-up length-set oracle."""
+
+    BOUND = 250
+
+    @pytest.mark.parametrize("S", _unit_weight_cases(), ids=repr)
+    def test_matches_brute_length_sets(self, S):
+        table = brute_length_sets(S.generators, self.BOUND)
+        union = set()
+        for t, lengths in enumerate(table):
+            if not lengths:
+                with pytest.raises(ValueError, match="not an element"):
+                    length_set(S, t)
+                continue
+            want = sorted(lengths)
+            gaps = {b - a for a, b in zip(want, want[1:])}
+            assert length_set(S, t) == tuple(want)
+            assert delta_of_element(S, t) == tuple(sorted(gaps))
+            assert max_min_length(S, t) == (want[-1], want[0])
+            results = [*length_set(S, t), *delta_of_element(S, t), *max_min_length(S, t)]
+            assert all(type(x) is int for x in results)
+            if not gaps <= union:  # the union grows at t, so check either side
+                assert delta_set_up_to(S, t - 1) == tuple(sorted(union))
+                union |= gaps
+                assert delta_set_up_to(S, t) == tuple(sorted(union))
+        brute = delta_set_up_to(S, self.BOUND)
+        assert brute == tuple(sorted(union)) and all(type(x) is int for x in brute)
+
+    def test_integer_weights_give_fractions(self):
+        S = Semigroup([6, 9, 20])
+        for t in (0, 18, 60):
+            lengths = weighted_length_set(S, t, (3, 1, 4))
+            assert lengths and all(type(x) is Fraction for x in lengths)
 
 
 class TestRecurrences:
