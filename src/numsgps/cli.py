@@ -92,12 +92,6 @@ def _relation_row(rel):
     return f"{left} = {right}"
 
 
-def _add_format_flags(p):
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable JSON output")
-    fmt.add_argument("--csv", action="store_true", help="CSV output (vectors and sets joined with ';')")
-
-
 def cmd_invariants(args) -> int:
     S = Semigroup(args.generators)
     base = args.apery if args.apery is not None else S.multiplicity
@@ -177,17 +171,23 @@ def cmd_delta(args) -> int:
     return EXIT_OK
 
 
-def _load_family(args):
+def _load_family(args, linear=False):
     if args.spec == "-":
         doc = json.load(sys.stdin)
     else:
         with open(args.spec, encoding="utf-8") as fh:
             doc = json.load(fh)
-    return family_from_spec(doc), doc
+    family = family_from_spec(doc)
+    if linear and not isinstance(family, LinearFamily):
+        raise ValueError(
+            f'{args.subcommand} needs a linear family spec {{"w": [...], "r": [...]}}, '
+            'not a "polys" spec'
+        )
+    return family, doc
 
 
 def _family_range(args, doc):
-    if getattr(args, "range", None):
+    if args.range:
         lo, hi = args.range
     elif "range" in doc:
         lo, hi = doc["range"]
@@ -200,18 +200,10 @@ def _family_range(args, doc):
     return range(lo, hi + 1, args.step)
 
 
-def _user_to_internal(family, n: int) -> int:
-    # linear family specs are normalized on load; "shift" converts the
-    # user-facing parameter of the original (w, r) into the normalized one
-    if isinstance(family, LinearFamily) and family.shift:
-        return n - family.shift
-    return n
-
-
 def cmd_family_scan(args) -> int:
     family, doc = _load_family(args)
     ns = _family_range(args, doc)
-    rows = scan(family, [_user_to_internal(family, n) for n in ns], args.invariant)
+    rows = scan(family, [n - family.shift for n in ns], args.invariant)
     rows = [(u, v) for u, (_, v) in zip(ns, rows)]
     payload = {"invariant": args.invariant, "rows": [[n, _jsonable(v)] for n, v in rows]}
     table = [("n", args.invariant)] + rows if not (args.json or args.csv) else rows
@@ -220,8 +212,8 @@ def cmd_family_scan(args) -> int:
 
 
 def cmd_family_verify_phi(args) -> int:
-    family, _ = _load_family(args)
-    rep = transport_presentation(family, _user_to_internal(family, args.n))
+    family, _ = _load_family(args, linear=True)
+    rep = transport_presentation(family, args.n - family.shift)
     payload = {
         "n": args.n,
         "period": rep.period,
@@ -245,8 +237,8 @@ def cmd_family_verify_phi(args) -> int:
 
 
 def cmd_family_verify_betti(args) -> int:
-    family, _ = _load_family(args)
-    rep = betti_bijection(family, _user_to_internal(family, args.n))
+    family, _ = _load_family(args, linear=True)
+    rep = betti_bijection(family, args.n - family.shift)
     ok = rep.is_bijection
     payload = {
         "n": args.n,
@@ -268,16 +260,15 @@ def cmd_family_verify_betti(args) -> int:
 
 
 def cmd_family_verify_apery(args) -> int:
-    family, doc = _load_family(args)
-    if args.n is not None:
-        ns = [args.n]
-    else:
-        ns = list(_family_range(args, doc))
+    if args.n is not None and args.range:
+        raise ValueError("verify-apery takes --n or --range, not both")
+    family, doc = _load_family(args, linear=True)
+    ns = [args.n] if args.n is not None else _family_range(args, doc)
     any_regime_fail = False
     rows = []
     results = []
     for n in ns:
-        chk = verify_fast_apery(family, _user_to_internal(family, n))
+        chk = verify_fast_apery(family, n - family.shift)
         ok = chk.ok
         if not ok and chk.in_guaranteed_regime:
             any_regime_fail = True
@@ -296,8 +287,8 @@ def cmd_family_verify_apery(args) -> int:
 
 
 def cmd_family_verify_pf(args) -> int:
-    family, _ = _load_family(args)
-    rep = pf_transport(family, _user_to_internal(family, args.n))
+    family, _ = _load_family(args, linear=True)
+    rep = pf_transport(family, args.n - family.shift)
     ok = rep.is_bijection and rep.types_equal
     payload = {
         "n": args.n,
@@ -334,11 +325,11 @@ def _read_scan_rows(source) -> dict:
 
 def cmd_family_fit(args) -> int:
     family, doc = _load_family(args)
-    if getattr(args, "from_scan", None):
+    if args.from_scan:
         samples = _read_scan_rows(args.from_scan)
     else:
         ns = _family_range(args, doc)
-        rows = scan(family, [_user_to_internal(family, n) for n in ns], args.invariant)
+        rows = scan(family, [n - family.shift for n in ns], args.invariant)
         samples = {u: v for u, (_, v) in zip(ns, rows)}
     result = fit(samples, args.period, args.degree)
     if isinstance(result, FitMismatch):
@@ -373,26 +364,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Factorization invariants of numerical semigroups and parametrized families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    group = fmt.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true", help="machine-readable JSON output")
+    group.add_argument("--csv", action="store_true", help="CSV output (vectors and sets joined with ';')")
+    gens = argparse.ArgumentParser(add_help=False)
+    gens.add_argument("generators", nargs="+", type=int)
+    span = argparse.ArgumentParser(add_help=False)
+    span.add_argument("--range", nargs=2, type=int, metavar=("A", "B"))
+    span.add_argument("--step", type=int, default=1)
 
-    p_inv = sub.add_parser("invariants", help="Frobenius, genus, type, Wilf numbers, Apery set")
-    p_inv.add_argument("generators", nargs="+", type=int)
+    p_inv = sub.add_parser("invariants", parents=[gens, fmt],
+                           help="Frobenius, genus, type, Wilf numbers, Apery set")
     p_inv.add_argument("--apery", type=int, metavar="M",
                        help="base element for the Apery set (default: smallest generator)")
-    _add_format_flags(p_inv)
     p_inv.set_defaults(func=cmd_invariants)
 
-    p_mp = sub.add_parser("minpres", help="canonical minimal presentation with degrees")
-    p_mp.add_argument("generators", nargs="+", type=int)
-    _add_format_flags(p_mp)
+    p_mp = sub.add_parser("minpres", parents=[gens, fmt],
+                          help="canonical minimal presentation with degrees")
     p_mp.set_defaults(func=cmd_minpres)
 
-    p_d = sub.add_parser("delta", help="(weighted) delta set: min, max, union over Betti elements")
-    p_d.add_argument("generators", nargs="+", type=int)
+    p_d = sub.add_parser("delta", parents=[gens, fmt],
+                         help="(weighted) delta set: min, max, union over Betti elements")
     p_d.add_argument("--weights", nargs="+", metavar="W",
                      help="rational weights, e.g. 3 1/2 -1 (default: all 1)")
     p_d.add_argument("--max-element", type=int, metavar="N",
                      help="also brute-force the delta sets of all elements <= N")
-    _add_format_flags(p_d)
     p_d.set_defaults(func=cmd_delta)
 
     p_f = sub.add_parser("family", help="parametrized family operations")
@@ -403,40 +400,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = fsub.add_parser(
         "scan",
+        parents=[span, fmt],
         help="exact invariant table over a parameter range",
         description="Exact invariant values per parameter. CSV columns: n,value "
         "(multiset values are ';'-joined).",
     )
     p_scan.add_argument("--invariant", required=True, choices=SCAN_INVARIANTS)
-    p_scan.add_argument("--range", nargs=2, type=int, metavar=("A", "B"))
-    p_scan.add_argument("--step", type=int, default=1)
-    _add_format_flags(p_scan)
     p_scan.set_defaults(func=cmd_family_scan)
 
-    p_phi = fsub.add_parser("verify-phi", help="transport the minimal presentation to n+p and check it")
+    p_phi = fsub.add_parser("verify-phi", parents=[fmt],
+                            help="transport the minimal presentation to n+p and check it")
     p_phi.add_argument("--n", type=int, required=True)
-    _add_format_flags(p_phi)
     p_phi.set_defaults(func=cmd_family_verify_phi)
 
-    p_bb = fsub.add_parser("verify-betti-bijection", help="map Betti elements to n+p and compare")
+    p_bb = fsub.add_parser("verify-betti-bijection", parents=[fmt],
+                           help="map Betti elements to n+p and compare")
     p_bb.add_argument("--n", type=int, required=True)
-    _add_format_flags(p_bb)
     p_bb.set_defaults(func=cmd_family_verify_betti)
 
-    p_va = fsub.add_parser("verify-apery", help="closed-form Apery set vs direct computation")
+    p_va = fsub.add_parser("verify-apery", parents=[span, fmt],
+                           help="closed-form Apery set vs direct computation (--n or --range)")
     p_va.add_argument("--n", type=int)
-    p_va.add_argument("--range", nargs=2, type=int, metavar=("A", "B"))
-    p_va.add_argument("--step", type=int, default=1)
-    _add_format_flags(p_va)
     p_va.set_defaults(func=cmd_family_verify_apery)
 
-    p_vp = fsub.add_parser("verify-pf", help="pseudo-Frobenius transport to n+r_k")
+    p_vp = fsub.add_parser("verify-pf", parents=[fmt], help="pseudo-Frobenius transport to n+r_k")
     p_vp.add_argument("--n", type=int, required=True)
-    _add_format_flags(p_vp)
     p_vp.set_defaults(func=cmd_family_verify_pf)
 
     p_fit = fsub.add_parser(
         "fit",
+        parents=[span, fmt],
         help="scan an invariant and fit an exact quasipolynomial",
         description="Fit an exact quasipolynomial, either scanning the family "
         "directly (--invariant + --range) or consuming a previous scan's "
@@ -444,21 +437,22 @@ def build_parser() -> argparse.ArgumentParser:
         "payload or CSV n,value rows).",
     )
     p_fit.add_argument("--invariant", required=True, choices=SCAN_INVARIANTS)
-    p_fit.add_argument("--range", nargs=2, type=int, metavar=("A", "B"))
-    p_fit.add_argument("--step", type=int, default=1)
     p_fit.add_argument("--degree", type=int, required=True)
     p_fit.add_argument("--period", type=int, required=True)
     p_fit.add_argument("--from", dest="from_scan", metavar="FILE",
                        help="read scan output instead of scanning (- for stdin)")
-    _add_format_flags(p_fit)
     p_fit.set_defaults(func=cmd_family_fit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # argparse exits with 2 on a usage error, the regime-mismatch status
+            return EXIT_ERROR
+        raise  # --help
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -2,7 +2,8 @@
 presentations.
 
 A factorization of t is an exponent vector z with z . generators = t; all
-functions here bind exponent vectors to ``S.generators`` order.
+functions here bind exponent vectors to ``S.generators`` order.  Components of
+factorization graphs come from one kernel, :func:`_components`.
 """
 
 from __future__ import annotations
@@ -107,53 +108,56 @@ def factorizations(S: Semigroup, t: int) -> tuple[tuple[int, ...], ...]:
 
 
 def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
-    """Connected components of the shared-generator graph on Z(t)."""
+    """Connected components of the shared-generator graph on Z(t): each
+    factorization joins the component of its support (see :func:`_components`),
+    and Z(t) is sorted, so first-appearance order is the documented order."""
     zs = factorizations(S, t)
     if not zs:
         raise ValueError(f"{t} is not an element of {S!r}")
-    forest = _Forest(len(zs))
-    # all factorizations with a positive i-th coordinate are mutually adjacent,
-    # so union them in one chain per coordinate
-    for i in range(S.k):
-        first = None
-        for idx, z in enumerate(zs):
-            if z[i] > 0:
-                if first is None:
-                    first = idx
-                else:
-                    forest.union(first, idx)
+    _, component = _component_lookup(S, t)
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for idx, z in enumerate(zs):
-        groups.setdefault(forest.find(idx), []).append(z)
-    comps = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
-    return FactorizationGraphSummary(t, tuple(comps))
+    for z in zs:
+        groups.setdefault(component(z), []).append(z)
+    return FactorizationGraphSummary(t, tuple(tuple(g) for g in groups.values()))
 
 
-def _component_count(S: Semigroup, t: int, gens) -> int:
-    """Number of connected components of the factorization graph of t.
+def _components(S: Semigroup, t: int, gens) -> tuple[list[int], ...]:
+    """Components of the factorization graph of t, as lists of the generators
+    their factorizations use (``gens`` ascending; t = 0: one empty component).
 
-    Works on the graph over available generators instead: vertices are the
-    generators g with t - g in S, edges where t - g - h is in S.  This graph
-    has the same component count as the factorization graph: each
-    factorization's support is a clique of available generators, every
-    available generator occurs in some factorization, and an edge g~h yields a
-    factorization using both g and h, so supports connect exactly when the
-    factorizations do.
+    They are the components of the graph on the available generators, g with
+    t - g in S, where g~h when t - g - h is in S: each support is a clique
+    there, each available g is in some support, and an edge g~h yields a
+    factorization using both.
     """
     member = S.contains
     avail = [g for g in gens if member(t - g)]
     n = len(avail)
     if n <= 1:
-        return 1
-    g0 = avail[0]
-    if all(member(t - g0 - u) for u in avail[1:]):
-        return 1  # star through the smallest available generator
+        return (avail,)
+    rest = t - avail[0]
+    if all(member(rest - u) for u in avail[1:]):
+        return (avail,)  # star through the smallest available generator
     forest = _Forest(n)
-    for i in range(n):
+    for i, g in enumerate(avail):
         for j in range(i + 1, n):
-            if member(t - avail[i] - avail[j]):
+            if member(t - g - avail[j]):
                 forest.union(i, j)
-    return forest.count
+    if forest.count == 1:
+        return (avail,)
+    # no comprehension over avail: it would become a closure cell, slowing the loop above
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(avail):
+        groups.setdefault(forest.find(i), []).append(g)
+    return tuple(groups.values())
+
+
+def _component_lookup(S: Semigroup, t: int):
+    """(number of components of t, z -> index of the component holding the
+    factorization z): that of any generator in its support, 0 for z = 0."""
+    comps = _components(S, t, sorted(S.generators))
+    where = {g: i for i, comp in enumerate(comps) for g in comp}
+    return len(comps), lambda z: next((where[g] for c, g in zip(z, S.generators) if c), 0)
 
 
 def _betti_search(S: Semigroup) -> dict[int, int]:
@@ -165,7 +169,7 @@ def _betti_search(S: Semigroup) -> dict[int, int]:
     candidates = sorted({w + g for w in apery for g in others})
     out: dict[int, int] = {}
     for t in candidates:
-        comps = _component_count(S, t, gens)
+        comps = len(_components(S, t, gens))
         if comps > 1:
             out[t] = comps - 1
     return out
@@ -239,19 +243,21 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
     if want != got:
         problems.append(f"degree multiset {got} != Betti elements with multiplicity {want}")
 
+    # a side balancing at beta factors it iff no entry is negative
     for beta, rels in sorted(by_degree.items()):
-        comps = factorization_graph(S, beta).components
-        where = {z: i for i, comp in enumerate(comps) for z in comp}
-        forest = _Forest(len(comps))
+        if not S.contains(beta):
+            raise ValueError(f"{beta} is not an element of {S!r}")
+        n, component = _component_lookup(S, beta)
+        forest = _Forest(n)
         for rel in rels:
-            if rel.left not in where or rel.right not in where:
+            if min(rel.left + rel.right) < 0:
                 problems.append(f"relation {rel} uses a vector that does not factor {beta}")
-            elif not forest.union(where[rel.left], where[rel.right]):
+            elif not forest.union(component(rel.left), component(rel.right)):
                 problems.append(f"relation {rel} is redundant (same component of degree {beta})")
-        merges = len(comps) - forest.count
-        if merges != len(comps) - 1:
+        merges = n - forest.count
+        if merges != n - 1:
             problems.append(
-                f"relations of degree {beta} merge {merges} of {len(comps) - 1} needed components"
+                f"relations of degree {beta} merge {merges} of {n - 1} needed components"
             )
     return problems
 

@@ -126,6 +126,7 @@ class PolynomialFamily:
     families)."""
 
     polys: tuple[tuple[int, ...], ...]
+    shift = 0  # not a field: parameters are used as written (see LinearFamily.shift)
 
     def __post_init__(self):
         cleaned = []

@@ -97,24 +97,20 @@ class Semigroup:
 
         return _betti_search(self)
 
-    def _contains_reduced(self, t: int) -> bool:
-        if t < 0:
-            return False
-        tab = self._residue_table
-        return t >= tab[t % len(tab)]
-
     def contains(self, t: int) -> bool:
         """True iff t has at least one factorization (t = 0 always does)."""
         if t < 0 or t % self.d:
             return False
-        return self._contains_reduced(t // self.d)
+        t //= self.d
+        tab = self._residue_table
+        return t >= tab[t % len(tab)]
 
     def __contains__(self, t: int) -> bool:
         return self.contains(t)
 
     def elements_up_to(self, bound: int) -> list[int]:
         """All semigroup elements <= bound, ascending."""
-        return [t for t in range(0, bound + 1, self.d) if self._contains_reduced(t // self.d)]
+        return [t for t in range(0, bound + 1, self.d) if self.contains(t)]
 
     def apery_set(self, m: int) -> "AperySet":
         """Least element of the semigroup in each residue class modulo m.
@@ -130,10 +126,10 @@ class Semigroup:
             return AperySet(self, m, tuple(x * self.d for x in tab))
         elements = []
         for rho in range(m_red):
-            t = rho
-            while not self._contains_reduced(t):
-                t += m_red
-            elements.append(t * self.d)
+            e = rho * self.d
+            while not self.contains(e):
+                e += m
+            elements.append(e)
         return AperySet(self, m, tuple(elements))
 
     def frobenius(self) -> int:
@@ -150,19 +146,13 @@ class Semigroup:
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique inclusion-minimal generating subset, in generator order.
 
-        A generator is redundant iff it lies in the semigroup generated by the
-        others; the minimal generators are contained in every generating set,
-        so one filtering pass suffices.
+        A generator g is redundant iff it lies in the semigroup generated by
+        the others, that is iff g - h is in S for some other generator h: a
+        factorization of g - h < g cannot use g.  The minimal generators are
+        contained in every generating set, so one filtering pass suffices.
         """
         gens = self.generators
-        if len(gens) == 1:
-            return gens
-        keep = []
-        for g in gens:
-            others = tuple(h for h in gens if h != g)
-            if not Semigroup(others).contains(g):
-                keep.append(g)
-        return tuple(keep)
+        return tuple(g for g in gens if not any(h != g and self.contains(g - h) for h in gens))
 
     def embedding_dimension(self) -> int:
         return len(self.minimal_generators())

@@ -42,8 +42,8 @@ def brute_factorization_table(gens, bound):
 
 def brute_betti_elements(gens):
     """Betti elements by scanning every element up to the Betti bound
-    F + g_1 + g_k, with component counts taken from brute_factorization_table
-    (two factorizations are adjacent when their supports meet), ascending.
+    F + g_1 + g_k, with component counts taken from brute_components over
+    brute_factorization_table, ascending.
 
     Also asserts that the window (bound, bound + g_k] holds no disconnected
     element.
@@ -59,17 +59,27 @@ def brute_betti_elements(gens):
     table = brute_factorization_table(gens, bound + max(gens))
     out = {}
     for t in range(1, len(table)):
-        comps = []  # merged supports, one per component of the factorization graph
-        for z in table[t]:
-            support = {i for i, c in enumerate(z) if c}
-            for comp in [c for c in comps if c & support]:
-                support |= comp
-                comps.remove(comp)
-            comps.append(support)
+        comps = brute_components(table[t])
         if len(comps) > 1:
             assert t <= bound, f"disconnected element {t} beyond the Betti bound {bound} of {gens}"
             out[t] = len(comps) - 1
     return out
+
+
+def brute_components(zs):
+    """Components of the factorization graph on the factorizations zs (two
+    are adjacent when their supports meet), found by merging supports: each
+    component sorted, the components ordered by their least member."""
+    comps = []  # (merged support, members), one per component so far
+    for z in zs:
+        support = {i for i, c in enumerate(z) if c}
+        members = [z]
+        for comp in [c for c in comps if c[0] & support]:
+            support |= comp[0]
+            members += comp[1]
+            comps.remove(comp)
+        comps.append((support, members))
+    return tuple(sorted((tuple(sorted(m)) for _, m in comps), key=lambda c: c[0]))
 
 
 def brute_members(gens, bound):

@@ -291,6 +291,65 @@ class TestFamily:
         assert code == 0 and "FAIL" in out
 
 
+class TestLinearOnly:
+    @pytest.mark.parametrize(
+        "subcommand", ["verify-phi", "verify-betti-bijection", "verify-apery", "verify-pf"]
+    )
+    def test_verifications_reject_polynomial_spec(self, capsys, spec_file, subcommand):
+        spec = spec_file({"polys": [[0, 1], [1, 1], [3, 1]]})
+        code, out, err = run(capsys, "family", "--spec", spec, subcommand, "--n", "10")
+        assert code == 1 and out == ""
+        assert err == (
+            f'error: {subcommand} needs a linear family spec {{"w": [...], "r": [...]}}, '
+            'not a "polys" spec\n'
+        )
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "--spec", "{spec}", "verify-phi"],
+            ["family", "--spec", "{spec}", "scan", "--invariant", "bogus", "--range", "5", "6"],
+            ["family", "verify-pf", "--n", "5"],
+            ["minpres"],
+            ["invariants", "6", "9", "--json", "--csv"],
+            ["nosuch"],
+        ],
+        ids=["missing-n", "bad-invariant", "missing-spec", "no-generators", "json-and-csv",
+             "unknown-command"],
+    )
+    def test_usage_error_exits_one(self, capsys, spec_file, argv):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        code, out, err = run(capsys, *[spec if a == "{spec}" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("usage: numsgps") and "error: " in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["family", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: numsgps family")
+
+    def test_exit_status_of_the_command(self, spec_file):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        codes = [
+            subprocess.run([sys.executable, "-m", "numsgps.cli", *argv],
+                           capture_output=True, env=env, check=False).returncode
+            for argv in (["family", "--spec", spec, "verify-pf"], ["--help"])
+        ]
+        assert codes == [1, 0]
+
+    def test_verify_apery_rejects_n_with_range(self, capsys, spec_file):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        code, out, err = run(capsys, "family", "--spec", spec, "verify-apery",
+                             "--n", "7", "--range", "5", "9")
+        assert code == 1 and out == ""
+        assert err == "error: verify-apery takes --n or --range, not both\n"
+
+
 class TestDeterminism:
     def test_json_round_trip_and_stability(self, capsys):
         code, out1, _ = run(capsys, "minpres", "6", "9", "20", "--json")

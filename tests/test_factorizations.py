@@ -3,7 +3,12 @@ from math import gcd
 
 import pytest
 
-from conftest import brute_betti_elements, brute_factorization_table, random_generators
+from conftest import (
+    brute_betti_elements,
+    brute_components,
+    brute_factorization_table,
+    random_generators,
+)
 from numsgps import (
     Relation,
     Semigroup,
@@ -106,6 +111,37 @@ class TestFactorizationGraph:
         g = factorization_graph(S, 15)
         assert g.components == (((1, 1, 0),),)
         assert g.is_connected
+
+    @staticmethod
+    def _oracle_cases():
+        rng = random.Random(59)
+        for _ in range(12):
+            yield Semigroup(random_generators(rng))
+        for scale in (2, 3):  # gcd > 1
+            for _ in range(3):
+                yield Semigroup([scale * g for g in random_generators(rng, hi=12)])
+        for _ in range(4):  # a redundant generator: a sum of two others
+            gens = random_generators(rng, max_k=3)
+            yield Semigroup(gens + (rng.choice(gens) + rng.choice(gens),))
+        for _ in range(4):  # supplied order kept, not sorted
+            gens = list(random_generators(rng))
+            while gens == sorted(gens):
+                rng.shuffle(gens)
+            yield Semigroup(gens, keep_order=True)
+        yield Semigroup([2, 3, 7])
+
+    def test_matches_brute_components(self):
+        # components and their order, at every element up to 150
+        for S in self._oracle_cases():
+            table = brute_factorization_table(S.generators, 150)
+            for t, zs in enumerate(table):
+                if not zs:
+                    with pytest.raises(ValueError, match=f"^{t} is not an element"):
+                        factorization_graph(S, t)
+                    continue
+                graph = factorization_graph(S, t)
+                assert graph.element == t
+                assert graph.components == brute_components(zs), (S, t)
 
 
 class TestBettiElements:
@@ -258,6 +294,35 @@ class TestMinimalPresentation:
         ]
         for relations, problems in cases:
             assert verify_minimal_presentation(S, relations) == problems, relations
+
+    def test_verifier_edge_cases(self):
+        S = Semigroup([6, 9, 20])
+        rels = minimal_presentation(S)
+        # balanced sides whose degree is not an element
+        for left, right, degree in [((-1, 1, 2), (2, -1, 2), 43), ((-1, 0, 0), (2, -2, 0), -6)]:
+            with pytest.raises(ValueError, match=rf"^{degree} is not an element of Semigroup\(6, 9, 20\)$"):
+                verify_minimal_presentation(S, rels + (Relation(left, right, degree),))
+        zero = Relation((0, 0, 0), (0, 0, 0), 0)
+        assert verify_minimal_presentation(S, rels + (zero,)) == [
+            "degree multiset [0, 18, 60] != Betti elements with multiplicity [18, 60]",
+            "relation Relation(left=(0, 0, 0), right=(0, 0, 0), degree=0) is redundant "
+            "(same component of degree 0)",
+        ]
+        # 36 = 6*6 = 3*6 + 2*9 = 4*9 has a connected factorization graph
+        connected = Relation((6, 0, 0), (0, 4, 0), 36)
+        assert verify_minimal_presentation(S, rels + (connected,)) == [
+            "degree multiset [18, 36, 60] != Betti elements with multiplicity [18, 60]",
+            "relation Relation(left=(6, 0, 0), right=(0, 4, 0), degree=36) is redundant "
+            "(same component of degree 36)",
+        ]
+        negative = (Relation((6, 0, 0), (-3, 6, 0), 36), Relation((0, 0, 2), (1, 6, -1), 40))
+        assert verify_minimal_presentation(S, rels + negative) == [
+            "degree multiset [18, 36, 40, 60] != Betti elements with multiplicity [18, 60]",
+            "relation Relation(left=(6, 0, 0), right=(-3, 6, 0), degree=36) uses a vector "
+            "that does not factor 36",
+            "relation Relation(left=(0, 0, 2), right=(1, 6, -1), degree=40) uses a vector "
+            "that does not factor 40",
+        ]
 
     def test_partial_presentation_does_not_chain(self):
         S = Semigroup([6, 9, 20])

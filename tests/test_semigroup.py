@@ -132,6 +132,22 @@ class TestMinimalGenerators:
             bound = 3 * max(gens) + 50
             assert S.elements_up_to(bound) == M.elements_up_to(bound)
 
+    def test_against_reachability_dp(self):
+        # g is redundant iff the others reach it; generator order is kept
+        rng = random.Random(61)
+        for _ in range(40):
+            gens = list(random_generators(rng))
+            for _ in range(rng.randint(1, 2)):  # redundant: a sum of two generators
+                gens.append(rng.choice(gens) + rng.choice(gens))
+            rng.shuffle(gens)
+            for S in (Semigroup(gens), Semigroup(dict.fromkeys(gens), keep_order=True)):
+                want = tuple(
+                    g for g in S.generators
+                    if g not in brute_members([h for h in S.generators if h != g], g)
+                )
+                assert S.minimal_generators() == want, S
+                assert len(want) < S.k, S
+
 
 class TestPseudoFrobenius:
     def test_examples(self):
