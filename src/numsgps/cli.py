@@ -137,6 +137,8 @@ def cmd_minpres(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    if args.max_element is not None and args.max_element < 0:
+        raise ValueError(f"--max-element must be non-negative, got {args.max_element}")
     S = Semigroup(args.generators)
     w = (
         tuple(Fraction(x) for x in args.weights)
@@ -315,7 +317,10 @@ def _read_scan_rows(source) -> dict:
     text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
     text = text.strip()
     if text.startswith("{"):
-        return {int(n): Fraction(str(v)) for n, v in json.loads(text)["rows"]}
+        rows = json.loads(text).get("rows")
+        if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 2 for r in rows):
+            raise ValueError('a JSON scan needs a "rows" list of [n, value] pairs')
+        return {int(n): Fraction(str(v)) for n, v in rows}
     samples = {}
     for line in text.splitlines():
         n, value = line.split(",", 1)

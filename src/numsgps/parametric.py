@@ -482,12 +482,19 @@ def fast_apery(family: LinearFamily, n: int) -> AperySet:
 
 @dataclass(frozen=True)
 class PFTransportReport:
-    """Pseudo-Frobenius transport between the members at n and n + r_k, via
-    the Apery-set coordinates i in Ap(S; dn).
+    """Pseudo-Frobenius numbers of the members at n and n + r_k, compared in
+    the coordinates of Ap(S; dn), S the inner semigroup of the offsets r_i
+    (gcd d) and Ap(S; dn) its closed form (``apery_at_multiple``).
 
-    Elementwise the map is i -> i + d*r_k: both branches of Ap(S; dn) track
-    d*n, so an element d*j of S keeps pace by moving r_k positions up, while
-    a gap element d*j + d*n moves because d*n itself grows by d*r_k."""
+    ``f_n`` holds the coordinates i in Ap(S; dn) whose class mod n is that of
+    a pseudo-Frobenius number of P_n; ``f_next`` is the same at n + r_k.
+    ``mapping`` sends every i to i + d*r_k, and ``is_bijection`` asks whether
+    that lands exactly on ``f_next``.  The shift is right for coordinates
+    near dn (the gap branch d*j + d*n grows with d*n), but wrong for those a
+    bounded distance from 0, which stay put.  For w=(1,2,3,3), r=(0,1,4,6)
+    at n = 109, f_n = (3, 105, 107, 108): PF(P_109) holds 548 = 3 + 5*109
+    and PF(P_115) holds 578 = 3 + 5*115, so 3 stays at 3, the map sends it
+    to 9, and ``is_bijection`` is False although ``types_equal`` holds."""
 
     n: int
     step: int
@@ -513,6 +520,11 @@ class PFTransportReport:
 
 
 def pf_transport(family: LinearFamily, n: int) -> PFTransportReport:
+    """The PFTransportReport between P_n and P_{n + r_k} for a w_1 = 1 family
+    and gcd(n, d) = 1.  Both pseudo-Frobenius sets are computed directly, so
+    the types are exact; the coordinate map is the uniform shift by d*r_k,
+    which is wrong for coordinates a bounded distance from 0 (see the
+    report)."""
     S, _ = _inner_semigroup(family)
     d = S.d
     if gcd(n, d) != 1:

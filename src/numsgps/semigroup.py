@@ -3,12 +3,13 @@
 A semigroup here is given by a finite tuple of positive integer generators and
 need not have finite complement: the gcd d of the generators may exceed 1, in
 which case every element is a multiple of d and the Frobenius number / genus
-are taken relative to the multiples of d.
+are taken relative to the multiples of d.  One kernel, the Apery table
+(``Semigroup._apery_table``), serves every modulus: membership, Frobenius
+number, genus, Apery sets and pseudo-Frobenius numbers are read off it.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -62,33 +63,42 @@ class Semigroup:
         # generators divided by d; a gcd-1 semigroup with the same factorizations
         return tuple(g // self.d for g in self.generators)
 
+    def _apery_table(self, m: int) -> list[int]:
+        """table[rho] = least element of the reduced semigroup congruent to rho
+        mod m, for m a positive element of it, by round robin with no heap
+        (Boecker and Liptak 2007).  Generator a splits the residues into
+        gcd(a, m) cycles r -> r + a, each walked once from its least entry,
+        carrying v + a while it beats the entry it lands on; a carried value
+        never lowers the cycle minimum, so one walk is enough.  Unreached
+        classes hold the sentinel m * max(generators): the partial sums of a
+        factorization of an Apery element are Apery elements in distinct
+        classes, so every true entry is at most (m - 1) * max."""
+        red = self._reduced
+        tab = [0] + [m * max(red)] * (m - 1)
+        for a in red:
+            step = a % m
+            if step == 0:
+                continue
+            cycles = gcd(a, m)
+            for start in range(cycles):
+                cycle = tab[start::cycles]
+                v = min(cycle)
+                r = start + cycles * cycle.index(v)
+                for _ in range(m // cycles - 1):
+                    r += step
+                    if r >= m:
+                        r -= m
+                    v += a
+                    if v < tab[r]:
+                        tab[r] = v
+                    else:
+                        v = tab[r]
+        return tab
+
     @cached_property
     def _residue_table(self) -> list[int]:
-        """table[rho] = least element of the reduced semigroup congruent to rho
-        modulo the reduced multiplicity.
-
-        Shortest paths in the residue graph mod the smallest generator: one
-        Dijkstra pass instead of per-query enumeration, so membership becomes
-        a single table lookup.
-        """
-        m1 = min(self._reduced)
-        dist: list[int | None] = [None] * m1
-        dist[0] = 0
-        heap = [(0, 0)]
-        steps = [a for a in set(self._reduced) if a % m1 != 0]
-        while heap:
-            val, rho = heapq.heappop(heap)
-            if dist[rho] != val:
-                continue
-            for a in steps:
-                nrho = (rho + a) % m1
-                nval = val + a
-                cur = dist[nrho]
-                if cur is None or nval < cur:
-                    dist[nrho] = nval
-                    heapq.heappush(heap, (nval, nrho))
-        # every residue is reachable because the reduced generators have gcd 1
-        return dist  # type: ignore[return-value]
+        """The Apery table modulo the reduced multiplicity; membership is one lookup."""
+        return self._apery_table(min(self._reduced))
 
     @cached_property
     def _betti(self) -> dict[int, int]:
@@ -113,24 +123,16 @@ class Semigroup:
         return [t for t in range(0, bound + 1, self.d) if self.contains(t)]
 
     def apery_set(self, m: int) -> "AperySet":
-        """Least element of the semigroup in each residue class modulo m.
-
-        m must be a positive element.  The result has m/d members, stored so
-        that position rho holds the element e with (e/d) = rho (mod m/d).
-        """
+        """Least element of the semigroup in each residue class modulo m, a
+        positive element: m/d members, position rho holding the element e with
+        (e/d) = rho (mod m/d), read off the Apery table modulo m/d."""
         if m <= 0 or not self.contains(m):
             raise ValueError(f"{m} is not a positive element of {self!r}")
         m_red = m // self.d
         tab = self._residue_table
-        if m_red == len(tab):
-            return AperySet(self, m, tuple(x * self.d for x in tab))
-        elements = []
-        for rho in range(m_red):
-            e = rho * self.d
-            while not self.contains(e):
-                e += m
-            elements.append(e)
-        return AperySet(self, m, tuple(elements))
+        if m_red != len(tab):
+            tab = self._apery_table(m_red)
+        return AperySet(self, m, tuple(x * self.d for x in tab))
 
     def frobenius(self) -> int:
         """Largest multiple of d outside the semigroup; -d when there is none."""
@@ -158,23 +160,20 @@ class Semigroup:
         return len(self.minimal_generators())
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
-        """Gaps m >= 0 with m + s in the semigroup for every positive element s.
+        """Gaps f >= 0 with f + s in the semigroup for every positive element s.
 
-        Only defined for gcd 1.  Computed as {a - m : a maximal in Ap(S; m)}
-        under the order a <= b iff b - a is in S; the m >= 0 convention makes
-        PF(<1>) empty.
+        Only defined for gcd 1.  Computed as {w - m : w maximal in Ap(S; m)},
+        m the multiplicity, under w <= b iff b - w is in S; f >= 0 makes PF(<1>)
+        empty.  Ap(S; m) is closed downward under that order, so w is not
+        maximal exactly when some w + g, g a generator, lies in Ap(S; m): one
+        table lookup per generator.
         """
         if self.d != 1:
             raise ValueError("pseudo-Frobenius numbers require gcd(generators) = 1")
-        ap = self.apery_set(self.multiplicity).elements
-        m = self.multiplicity
-        out = []
-        for a in ap:
-            if any(b != a and self.contains(b - a) for b in ap):
-                continue
-            if a - m >= 0:
-                out.append(a - m)
-        return tuple(sorted(out))
+        tab = self._residue_table
+        m = len(tab)
+        maximal = (w for w in tab if all(tab[(w + g) % m] != w + g for g in self.generators))
+        return tuple(sorted(w - m for w in maximal if w >= m))
 
     def type(self) -> int:
         """Number of pseudo-Frobenius numbers (gcd 1 only)."""

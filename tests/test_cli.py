@@ -94,6 +94,15 @@ class TestDelta:
         code, out, _ = run(capsys, "delta", "6", "9", "20")
         assert "union over Betti elements" in out
 
+    def test_rejects_negative_max_element(self, capsys):
+        code, out, err = run(capsys, "delta", "6", "9", "20", "--max-element", "-5")
+        assert code == 1 and out == ""
+        assert err == "error: --max-element must be non-negative, got -5\n"
+
+    def test_max_element_zero(self, capsys):
+        code, out, _ = run(capsys, "delta", "6", "9", "20", "--max-element", "0", "--json")
+        assert code == 0 and json.loads(out)["brute_force"] == {"max_element": 0, "deltas": []}
+
     def test_zero_denominator_weight(self, capsys):
         code, out, err = run(capsys, "delta", "6", "9", "20", "--weights", "1", "1/0")
         assert code == 1 and out == ""
@@ -248,6 +257,20 @@ class TestFamily:
                              "--degree", "1", "--period", "1", "--from", str(saved))
         assert code == 1 and out == ""
         assert err == "error: zero denominator in Fraction(1, 0)\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"invariant": "genus"}', '{"rows": 5}', '{"rows": [[5, 1], [6]]}', '{"rows": [7]}'],
+        ids=["no-rows", "rows-not-a-list", "short-pair", "bare-number"],
+    )
+    def test_fit_from_malformed_json_scan(self, capsys, spec_file, tmp_path, text):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        saved = tmp_path / "scan.json"
+        saved.write_text(text)
+        code, out, err = run(capsys, "family", "--spec", spec, "fit", "--invariant", "genus",
+                             "--degree", "1", "--period", "1", "--from", str(saved))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and 'a "rows" list of [n, value] pairs' in err
 
     def test_fit_from_file_closes_it(self, spec_file, tmp_path):
         spec = spec_file({"w": [1, 1], "r": [0, 2]})

@@ -313,6 +313,25 @@ class TestPFTransport:
         rep = pf_transport(fam, 10)
         assert rep.is_bijection and rep.types_equal
 
+    F2 = LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6))
+
+    def test_known_failure_members(self):
+        # the pseudo-Frobenius numbers and types the transport is judged on
+        P109, P115 = self.F2.instantiate(109), self.F2.instantiate(115)
+        assert P109.pseudo_frobenius() == (548, 5885, 6100, 6102)
+        assert P115.pseudo_frobenius() == (578, 6554, 6781, 6783)
+        rep = pf_transport(self.F2, 109)
+        assert rep.in_guaranteed_regime and rep.types_equal
+        assert rep.f_n == (3, 105, 107, 108)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the map i -> i + d*r_k also moves Apery coordinates a bounded "
+        "distance from 0, which stay put: 548 = 3 + 5*109 and 578 = 3 + 5*115",
+    )
+    def test_known_failure_is_bijection(self):
+        assert pf_transport(self.F2, 109).is_bijection
+
     def test_type_periodicity_window(self):
         fam = LinearFamily.normalize((1, 1, 1), (0, 2, 3))
         rk = fam.r[-1]

@@ -1,9 +1,14 @@
 """Derandomized property tests (hypothesis) against the conftest oracles."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_components, brute_factorization_table
+from conftest import (
+    brute_components,
+    brute_factorization_table,
+    brute_members,
+    brute_pseudo_frobenius,
+)
 from numsgps import Semigroup, factorization_graph, minimal_presentation, verify_minimal_presentation
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
@@ -18,3 +23,34 @@ def test_minimal_presentation_verifies_and_graphs_match_oracle(gens):
     for t, zs in enumerate(brute_factorization_table(S.generators, 60)):
         if zs:
             assert factorization_graph(S, t).components == brute_components(zs), t
+
+
+@st.composite
+def semigroup_and_element(draw):
+    """1-4 distinct generators in 1..60 (in drawn order), scaled so that gcd 2
+    and 3 come up, and a positive element m <= 3*max of their semigroup."""
+    scale = draw(st.sampled_from([1, 1, 2, 3]))
+    drawn = draw(st.lists(st.integers(1, 60 // scale), min_size=1, max_size=4, unique=True))
+    gens = [scale * g for g in drawn]
+    elements = sorted(brute_members(gens, 3 * max(gens)) - {0})
+    return gens, draw(st.sampled_from(elements))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(semigroup_and_element())
+@example(([4, 6], 10))  # gcd 2
+@example(([9, 6, 15], 12))  # gcd 3, unsorted
+@example(([1, 7], 5))  # the generator 1
+@example(([5, 7, 9], 5))  # the base itself a generator
+@example(([5, 7, 30], 10))  # 30 a multiple of m
+@example(([6, 9, 20, 11], 24))  # 6, 9 and 20 share factors with m: multi-cycle walks
+@example(([21, 13], 42))  # a cycle of length 2 in gcd(21, 42) = 21 cycles
+def test_apery_set_and_pseudo_frobenius_match_oracle(case):
+    gens, m = case
+    S = Semigroup(gens, keep_order=True)
+    d, m_red = S.d, m // S.d
+    members = brute_members(gens, m_red * max(gens))
+    least = [min(x for x in members if (x // d) % m_red == rho) for rho in range(m_red)]
+    assert list(S.apery_set(m).elements) == least
+    if d == 1:
+        assert list(S.pseudo_frobenius()) == brute_pseudo_frobenius(gens, S.frobenius())

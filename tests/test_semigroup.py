@@ -172,6 +172,13 @@ class TestPseudoFrobenius:
             assert list(S.pseudo_frobenius()) == brute_pseudo_frobenius(gens, S.frobenius())
             done += 1
 
+    def test_large_multiplicity_against_definition(self):
+        # Apery sets of 50-300 classes; every maximality test is a table lookup
+        for n in range(50, 301, 25):
+            gens = (n, n + 1, n + 3)
+            S = Semigroup(gens)
+            assert list(S.pseudo_frobenius()) == brute_pseudo_frobenius(gens, S.frobenius()), n
+
     def test_irreducible_odd_frobenius_has_type_one(self):
         # smallest-possible-genus semigroups with odd Frobenius number
         rng = random.Random(31)
