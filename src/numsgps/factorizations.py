@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .semigroup import Semigroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """A pair of factorizations of the same element (the relation's degree)."""
 
@@ -122,30 +122,44 @@ def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
 
 
 def _components(S: Semigroup, t: int, gens) -> tuple[list[int], ...]:
-    """Components of the factorization graph of t, as lists of the generators
-    their factorizations use (``gens`` ascending; t = 0: one empty component).
+    """Components of the factorization graph of an element of S, as lists of
+    the generators their factorizations use, all in reduced units: t and
+    ``gens`` (ascending) divided by d (t = 0: one empty component).
 
     They are the components of the graph on the available generators, g with
     t - g in S, where g~h when t - g - h is in S: each support is a clique
     there, each available g is in some support, and an edge g~h yields a
-    factorization using both.
+    factorization using both.  Every membership test is one lookup in the
+    residue table, by the rule stated in :meth:`Semigroup.contains`.
     """
-    member = S.contains
-    avail = [g for g in gens if member(t - g)]
+    # explicit loops, no comprehensions: tab and m would become closure cells,
+    # slowing every lookup below
+    tab = S._residue_table
+    m = len(tab)
+    avail = []
+    for g in gens:
+        x = t - g
+        if x >= tab[x % m]:
+            avail.append(g)
     n = len(avail)
     if n <= 1:
         return (avail,)
     rest = t - avail[0]
-    if all(member(rest - u) for u in avail[1:]):
+    for u in avail[1:]:
+        x = rest - u
+        if x < tab[x % m]:
+            break
+    else:
         return (avail,)  # star through the smallest available generator
     forest = _Forest(n)
     for i, g in enumerate(avail):
+        rest = t - g
         for j in range(i + 1, n):
-            if member(t - g - avail[j]):
+            x = rest - avail[j]
+            if x >= tab[x % m]:
                 forest.union(i, j)
     if forest.count == 1:
         return (avail,)
-    # no comprehension over avail: it would become a closure cell, slowing the loop above
     groups: dict[int, list[int]] = {}
     for i, g in enumerate(avail):
         groups.setdefault(forest.find(i), []).append(g)
@@ -155,23 +169,25 @@ def _components(S: Semigroup, t: int, gens) -> tuple[list[int], ...]:
 def _component_lookup(S: Semigroup, t: int):
     """(number of components of t, z -> index of the component holding the
     factorization z): that of any generator in its support, 0 for z = 0."""
-    comps = _components(S, t, sorted(S.generators))
+    red = S._reduced
+    comps = _components(S, t // S.d, sorted(red))
     where = {g: i for i, comp in enumerate(comps) for g in comp}
-    return len(comps), lambda z: next((where[g] for c, g in zip(z, S.generators) if c), 0)
+    return len(comps), lambda z: next((where[g] for c, g in zip(z, red) if c), 0)
 
 
 def _betti_search(S: Semigroup) -> dict[int, int]:
     """Betti elements of S by component counts over the Apery candidates
-    (see :func:`betti_elements`)."""
-    gens = sorted(S.generators)
-    g1, others = gens[0], gens[1:]
-    apery = S.apery_set(g1).elements
-    candidates = sorted({w + g for w in apery for g in others})
+    (see :func:`betti_elements`), in reduced units: Ap(S; g_1) divided by d is
+    the residue table itself."""
+    gens = sorted(S._reduced)
+    others = gens[1:]
+    candidates = sorted({w + g for w in S._residue_table for g in others})
+    d = S.d
     out: dict[int, int] = {}
     for t in candidates:
         comps = len(_components(S, t, gens))
         if comps > 1:
-            out[t] = comps - 1
+            out[d * t] = comps - 1
     return out
 
 

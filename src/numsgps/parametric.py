@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
+from threading import Lock
 
 from .factorizations import (
     Relation,
@@ -24,6 +25,11 @@ from .weighted import weighted_extreme_tables, weighted_length_set
 
 class VerificationError(RuntimeError):
     """An identity that is guaranteed in the large-n regime failed to verify."""
+
+
+# guards the member memo of every LinearFamily: a family is a value that
+# threads may share, and the memo's pop, evict and insert must not interleave
+_MEMO_LOCK = Lock()
 
 
 def _dot(z, v) -> int:
@@ -110,12 +116,31 @@ class LinearFamily:
     def generators(self, n: int) -> tuple[int, ...]:
         return tuple(wi * n + ri for wi, ri in zip(self.w, self.r))
 
+    @cached_property
+    def _recent(self) -> dict[int, Semigroup]:
+        # not a field: ==, hash and repr see only w, r and shift
+        return {}
+
     def instantiate(self, n: int) -> Semigroup:
-        """The member semigroup at parameter n, generator order preserved."""
-        gens = self.generators(n)
-        if any(g < 1 for g in gens):
-            raise ValueError(f"non-positive generator in {gens} at n={n}")
-        return Semigroup(gens, keep_order=True)
+        """The member semigroup at parameter n, generator order preserved.
+
+        The two members returned most recently are kept, and a repeated n
+        returns the same instance, so its residue table and Betti elements are
+        computed once: transport and the Betti bijection both use n and n + p,
+        PF transport n and n + r_k.  Errors are not kept; they raise again.
+        """
+        with _MEMO_LOCK:
+            recent = self._recent
+            P = recent.pop(n, None)
+            if P is None:
+                gens = self.generators(n)
+                if any(g < 1 for g in gens):
+                    raise ValueError(f"non-positive generator in {gens} at n={n}")
+                P = Semigroup(gens, keep_order=True)
+                if len(recent) == 2:
+                    del recent[next(iter(recent))]  # the least recently returned
+            recent[n] = P
+            return P
 
 
 @dataclass(frozen=True)
@@ -254,7 +279,7 @@ def phi(family: LinearFamily, n: int, rel: Relation) -> Relation:
     return Relation(left, right, dl)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportReport:
     """Transport of a whole minimal presentation from P_n to P_{n+p}, checked
     against an independently computed presentation of the target."""
@@ -288,6 +313,8 @@ def transport_presentation(family: LinearFamily, n: int) -> TransportReport:
     target = family.instantiate(n + family.period)
     problems = list(verify_minimal_presentation(target, image))
     independent = minimal_presentation(target)
+    if independent == image:
+        independent = image  # the usual outcome: a kept report holds one copy
     want = sorted(r.degree for r in independent)
     got = sorted(r.degree for r in image)
     if want != got:
@@ -303,7 +330,7 @@ def transport_presentation(family: LinearFamily, n: int) -> TransportReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiBijectionReport:
     """The piecewise map Betti(P_n) -> Betti(P_{n+p}): a Betti element whose
     weighted length set is a singleton {lam} moves by lam*p; one with set

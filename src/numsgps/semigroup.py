@@ -108,7 +108,13 @@ class Semigroup:
         return _betti_search(self)
 
     def contains(self, t: int) -> bool:
-        """True iff t has at least one factorization (t = 0 always does)."""
+        """True iff t has at least one factorization (t = 0 always does).
+
+        The membership rule, in reduced units (x = t/d): x is in S/d exactly
+        when x >= tab[x % m], tab the residue table and m its length.  Each
+        entry is >= 0, so a negative x fails the test by itself (the
+        explicit t < 0 only skips the lookup).
+        """
         if t < 0 or t % self.d:
             return False
         t //= self.d
@@ -140,10 +146,12 @@ class Semigroup:
         return self.d * (max(tab) - len(tab))
 
     def genus(self) -> int:
-        """Number of multiples of d missing from the semigroup."""
+        """Number of multiples of d missing from the semigroup: each entry
+        tab[i] = i + q_i m misses the q_i multiples below it in its class, so
+        the genus is (sum(tab) - (0 + 1 + ... + (m - 1))) / m."""
         tab = self._residue_table
-        m1 = len(tab)
-        return sum(t // m1 for t in tab)
+        m = len(tab)
+        return (sum(tab) - m * (m - 1) // 2) // m
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique inclusion-minimal generating subset, in generator order.

@@ -1,13 +1,18 @@
+import dataclasses
 import random
+import sys
+import threading
 from math import gcd
 
 import pytest
 
 from numsgps import (
+    BettiBijectionReport,
     LinearFamily,
     PolynomialFamily,
     Relation,
     Semigroup,
+    TransportReport,
     apery_at_multiple,
     betti_bijection,
     betti_elements,
@@ -80,6 +85,74 @@ class TestInstantiate:
         dup = LinearFamily.normalize((1, 1), (0, 0))
         with pytest.raises(ValueError):
             dup.instantiate(5)  # duplicate generators
+
+
+class TestMemberMemo:
+    """instantiate keeps the two members it returned most recently."""
+
+    def test_repeated_member_is_the_same_instance(self):
+        fam = LinearFamily.normalize((1, 1, 1), (0, 3, 5))
+        assert fam.instantiate(10) is fam.instantiate(10)
+
+    def test_keeps_only_two_members(self):
+        fam = LinearFamily.normalize((1, 1, 1), (0, 3, 5))
+        a = fam.instantiate(10)
+        fam.instantiate(11)
+        c = fam.instantiate(12)
+        again = fam.instantiate(10)
+        assert again is not a and again == a
+        assert fam.instantiate(12) is c  # 11 was the least recently returned
+
+    def test_errors_are_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                SMALL.instantiate(0)
+
+    def test_threads_sharing_a_family(self):
+        fam = LinearFamily.normalize((1, 1, 1), (0, 3, 5))
+        errors = []
+
+        def work():
+            try:
+                for i in range(300):
+                    n = 10 + i % 3
+                    assert fam.instantiate(n).generators == (n, n + 3, n + 5)
+                    assert len(fam._recent) <= 2
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(fam._recent) <= 2
+
+    def test_family_identity_unchanged(self):
+        fam = LinearFamily.normalize((1, 1, 1), (0, 3, 5))
+        before = (repr(fam), hash(fam), dataclasses.fields(fam))
+        fam.instantiate(10)
+        assert (repr(fam), hash(fam), dataclasses.fields(fam)) == before
+        assert fam == LinearFamily.normalize((1, 1, 1), (0, 3, 5))
+
+    @pytest.mark.parametrize(
+        "w, r, ns",
+        [((1, 1, 1), (0, 1, 2), range(5, 31)), ((1, 2, 3, 3), (0, 1, 4, 6), [109])],
+    )
+    def test_shared_members_give_the_same_reports(self, w, r, ns):
+        fam = LinearFamily.normalize(w, r)
+        for n in ns:
+            rep = transport_presentation(fam, n)
+            bij = betti_bijection(fam, n)
+            assert rep == transport_presentation(LinearFamily.normalize(w, r), n), n
+            assert bij == betti_bijection(LinearFamily.normalize(w, r), n), n
 
 
 class TestPolynomialFamily:
@@ -250,6 +323,54 @@ class TestBettiBijection:
             counts[n] = sum(betti_elements(SMALL.instantiate(n)).values())
         for n in range(5, 19):
             assert counts[n] == counts[n + 2], counts
+
+
+class TestResultRecords:
+    """Relation and the transport reports are frozen records with slots."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        rep = transport_presentation(SMALL, 5)
+        return rep.source[0], rep, betti_bijection(SMALL, 5)
+
+    def test_no_instance_dict(self, records):
+        for rec in records:
+            assert not hasattr(rec, "__dict__"), type(rec)
+
+    def test_frozen(self, records):
+        for rec in records:
+            for field in dataclasses.fields(rec):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(rec, field.name, None)
+
+    def test_field_names_and_order(self):
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert names(Relation) == ["left", "right", "degree"]
+        assert names(TransportReport) == [
+            "n", "period", "transport_bound", "source", "image", "independent", "problems"
+        ]
+        assert names(BettiBijectionReport) == [
+            "n", "period", "delta", "transport_bound", "mapping", "source", "target", "anomalies"
+        ]
+
+    def test_replace_eq_hash(self, records):
+        for rec in records:
+            copy = dataclasses.replace(rec)
+            assert copy == rec and hash(copy) == hash(rec) and copy is not rec
+        rel = records[0]
+        assert rel.as_pair() == frozenset((rel.left, rel.right))
+        assert dataclasses.replace(rel, degree=rel.degree + 1) != rel
+
+    def test_properties(self, records):
+        _, rep, bij = records
+        assert rep.in_guaranteed_regime and rep.ok
+        assert bij.in_guaranteed_regime and bij.is_bijection
+        late = dataclasses.replace(rep, problems=("x",))
+        assert not late.ok
+        early = dataclasses.replace(bij, n=bij.transport_bound)
+        assert not early.in_guaranteed_regime
 
 
 class TestAperyAtMultiple:

@@ -4,12 +4,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_betti_elements,
     brute_components,
     brute_factorization_table,
     brute_members,
     brute_pseudo_frobenius,
 )
-from numsgps import Semigroup, factorization_graph, minimal_presentation, verify_minimal_presentation
+from numsgps import (
+    Semigroup,
+    betti_elements,
+    factorization_graph,
+    minimal_presentation,
+    verify_minimal_presentation,
+)
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
 small_generators = st.lists(st.integers(2, 15), min_size=1, max_size=4, unique=True)
@@ -25,13 +32,49 @@ def test_minimal_presentation_verifies_and_graphs_match_oracle(gens):
             assert factorization_graph(S, t).components == brute_components(zs), t
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_generators, st.sampled_from([1, 2, 3]))
+@example([4, 7], 2)  # gcd 2
+@example([9, 6, 10], 3)  # gcd 3, unsorted
+@example([5, 1, 3], 1)  # the generator 1
+@example([7], 3)  # k = 1
+def test_betti_elements_match_oracle_under_scaling(gens, scale):
+    # the Betti search reads membership in reduced units (t/d) off the residue
+    # table; scaling every generator by s must scale every Betti element by s
+    S = Semigroup([scale * g for g in gens], keep_order=True)
+    got = betti_elements(S)
+    assert got == brute_betti_elements(S.generators)
+    unscaled = betti_elements(Semigroup(gens, keep_order=True))
+    assert got == {scale * b: m for b, m in unscaled.items()}
+
+
 @st.composite
-def semigroup_and_element(draw):
+def scaled_generators(draw):
     """1-4 distinct generators in 1..60 (in drawn order), scaled so that gcd 2
-    and 3 come up, and a positive element m <= 3*max of their semigroup."""
+    and 3 come up."""
     scale = draw(st.sampled_from([1, 1, 2, 3]))
     drawn = draw(st.lists(st.integers(1, 60 // scale), min_size=1, max_size=4, unique=True))
-    gens = [scale * g for g in drawn]
+    return [scale * g for g in drawn]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(scaled_generators())
+def test_genus_counts_missing_multiples(gens):
+    S = Semigroup(gens, keep_order=True)
+    d = S.d
+    reduced = [g // d for g in gens]
+    # the reduced semigroup has gcd 1 and Frobenius number below min * max,
+    # so every missing multiple of d lies below top
+    top = d * min(reduced) * max(reduced)
+    members = brute_members(gens, top)
+    assert S.genus() == sum(1 for t in range(0, top, d) if t not in members)
+
+
+@st.composite
+def semigroup_and_element(draw):
+    """Generators as in scaled_generators, and a positive element
+    m <= 3*max of their semigroup."""
+    gens = draw(scaled_generators())
     elements = sorted(brute_members(gens, 3 * max(gens)) - {0})
     return gens, draw(st.sampled_from(elements))
 
