@@ -322,9 +322,12 @@ def _read_scan_rows(source) -> dict:
             raise ValueError('a JSON scan needs a "rows" list of [n, value] pairs')
         return {int(n): Fraction(str(v)) for n, v in rows}
     samples = {}
-    for line in text.splitlines():
-        n, value = line.split(",", 1)
-        samples[int(n)] = Fraction(value)
+    for i, line in enumerate(text.splitlines(), 1):
+        try:
+            n, value = line.split(",", 1)
+            samples[int(n)] = Fraction(value)
+        except ValueError:
+            raise ValueError(f"a CSV scan needs n,value rows, got line {i}: {line!r}") from None
     return samples
 
 

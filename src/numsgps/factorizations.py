@@ -49,7 +49,9 @@ class FactorizationGraphSummary:
 
 class _Forest:
     """Union-find over 0..n-1 with path halving; ``count`` is the number of
-    components."""
+    components.  It serves only the two relation checks,
+    :func:`verify_minimal_presentation` and :func:`connects_under_relations`,
+    where edges arrive as explicit pairs."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -124,46 +126,40 @@ def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
 def _components(S: Semigroup, t: int, gens) -> tuple[list[int], ...]:
     """Components of the factorization graph of an element of S, as lists of
     the generators their factorizations use, all in reduced units: t and
-    ``gens`` (ascending) divided by d (t = 0: one empty component).
+    ``gens`` divided by d (t = 0: one empty component).  The order of the
+    components, and of the generators within one, is unspecified.
 
     They are the components of the graph on the available generators, g with
     t - g in S, where g~h when t - g - h is in S: each support is a clique
     there, each available g is in some support, and an edge g~h yields a
-    factorization using both.  Every membership test is one lookup in the
-    residue table, by the rule stated in :meth:`Semigroup.contains`.
+    factorization using both.  The graph grows one available generator at a
+    time; adding a vertex merges exactly the components that hold one of its
+    neighbours, so g absorbs each component with some h adjacent to it and
+    the others stay.  Every membership test is one lookup in the residue
+    table, by the rule stated in :meth:`Semigroup.contains`.
     """
     # explicit loops, no comprehensions: tab and m would become closure cells,
     # slowing every lookup below
     tab = S._residue_table
     m = len(tab)
-    avail = []
+    comps = []
     for g in gens:
-        x = t - g
-        if x >= tab[x % m]:
-            avail.append(g)
-    n = len(avail)
-    if n <= 1:
-        return (avail,)
-    rest = t - avail[0]
-    for u in avail[1:]:
-        x = rest - u
-        if x < tab[x % m]:
-            break
-    else:
-        return (avail,)  # star through the smallest available generator
-    forest = _Forest(n)
-    for i, g in enumerate(avail):
         rest = t - g
-        for j in range(i + 1, n):
-            x = rest - avail[j]
-            if x >= tab[x % m]:
-                forest.union(i, j)
-    if forest.count == 1:
-        return (avail,)
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(avail):
-        groups.setdefault(forest.find(i), []).append(g)
-    return tuple(groups.values())
+        if rest < tab[rest % m]:
+            continue
+        grown = [g]
+        kept = []
+        for comp in comps:
+            for h in comp:
+                x = rest - h
+                if x >= tab[x % m]:
+                    grown = comp + grown
+                    break
+            else:
+                kept.append(comp)
+        kept.append(grown)
+        comps = kept
+    return tuple(comps) or ([],)
 
 
 def _component_lookup(S: Semigroup, t: int):

@@ -87,10 +87,7 @@ class QuasiPolynomial:
         s = n % self.period
         if self.coeffs[0][s] is None:
             raise ValueError(f"residue class {s} (mod {self.period}) carried no samples")
-        return sum(
-            (self.coeffs[j][s] * Fraction(n) ** j for j in range(self.degree + 1)),
-            Fraction(0),
-        )
+        return _poly_eval([row[s] for row in self.coeffs], n)
 
 
 @dataclass(frozen=True)

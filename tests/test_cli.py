@@ -272,6 +272,21 @@ class TestFamily:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and 'a "rows" list of [n, value] pairs' in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("5,1\n6\n", "line 2: '6'"), ("5,1\nsix,2\n", "line 2: 'six,2'"),
+         ("5,one\n", "line 1: '5,one'")],
+        ids=["no-comma", "non-integer-n", "non-rational-value"],
+    )
+    def test_fit_from_malformed_csv_scan(self, capsys, spec_file, tmp_path, text, line):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        saved = tmp_path / "scan.csv"
+        saved.write_text(text)
+        code, out, err = run(capsys, "family", "--spec", spec, "fit", "--invariant", "genus",
+                             "--degree", "1", "--period", "1", "--from", str(saved))
+        assert code == 1 and out == ""
+        assert err == f"error: a CSV scan needs n,value rows, got {line}\n"
+
     def test_fit_from_file_closes_it(self, spec_file, tmp_path):
         spec = spec_file({"w": [1, 1], "r": [0, 2]})
         saved = tmp_path / "scan.csv"

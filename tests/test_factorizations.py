@@ -112,6 +112,14 @@ class TestFactorizationGraph:
         assert g.components == (((1, 1, 0),),)
         assert g.is_connected
 
+    def test_later_generator_joins_two_components(self):
+        # 4 and 5 are available at 16 but not adjacent (16 - 4 - 5 = 7 is a
+        # gap); 6 is adjacent to both, so it joins their components into one
+        S = Semigroup([4, 5, 6])
+        assert not S.contains(7) and S.contains(16 - 4 - 6) and S.contains(16 - 5 - 6)
+        assert factorization_graph(S, 16).components == (((0, 2, 1), (1, 0, 2), (4, 0, 0)),)
+        assert 16 not in betti_elements(S)
+
     @staticmethod
     def _oracle_cases():
         rng = random.Random(59)
@@ -173,6 +181,8 @@ class TestBettiElements:
             while gens == sorted(gens):
                 rng.shuffle(gens)
             yield Semigroup(gens, keep_order=True)
+        for _ in range(15):  # 5 or 6 generators: components grow over more steps
+            yield Semigroup(sorted(rng.sample(range(3, 21), rng.choice((5, 6)))))
         for g in (1, 2, 7):  # k = 1
             yield Semigroup([g])
         yield Semigroup([2, 3, 7])

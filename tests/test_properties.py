@@ -1,5 +1,8 @@
 """Derandomized property tests (hypothesis) against the conftest oracles."""
 
+from itertools import count, islice
+from math import gcd
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +14,12 @@ from conftest import (
     brute_pseudo_frobenius,
 )
 from numsgps import (
+    LinearFamily,
     Semigroup,
     betti_elements,
     factorization_graph,
     minimal_presentation,
+    verify_fast_apery,
     verify_minimal_presentation,
 )
 
@@ -97,3 +102,30 @@ def test_apery_set_and_pseudo_frobenius_match_oracle(case):
     assert list(S.apery_set(m).elements) == least
     if d == 1:
         assert list(S.pseudo_frobenius()) == brute_pseudo_frobenius(gens, S.frobenius())
+
+
+@st.composite
+def unit_weight_families(draw):
+    """Linear families with w_1 = 1 (so r_1 = 0) and 1-3 further generators
+    of weight at most 3 and offset at most 6, not every offset 0."""
+    pairs = st.tuples(st.integers(1, 3), st.integers(0, 6))
+    rest = draw(
+        st.lists(pairs, min_size=1, max_size=3, unique=True)
+        .filter(lambda ps: (1, 0) not in ps and any(r for _, r in ps))
+    )
+    w, r = zip((1, 0), *rest)
+    return LinearFamily.normalize(w, r)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(unit_weight_families())
+def test_closed_form_apery_set_matches_direct(fam):
+    # the first three n above apery_bound with gcd(n, d) = 1, d the gcd of the offsets
+    d = gcd(*fam.r)
+    for n in islice((n for n in count(fam.apery_bound + 1) if gcd(n, d) == 1), 3):
+        chk = verify_fast_apery(fam, n)
+        assert chk.in_guaranteed_regime and chk.ok, (fam, n)
+        least: dict[int, int] = {}
+        for x in sorted(brute_members(fam.generators(n), max(chk.theorem.elements))):
+            least.setdefault(x % n, x)
+        assert list(chk.theorem.elements) == [least[i] for i in range(n)], (fam, n)
