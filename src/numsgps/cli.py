@@ -320,7 +320,10 @@ def _read_scan_rows(source) -> dict:
         rows = json.loads(text).get("rows")
         if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 2 for r in rows):
             raise ValueError('a JSON scan needs a "rows" list of [n, value] pairs')
-        return {int(n): Fraction(str(v)) for n, v in rows}
+        for i, row in enumerate(rows, 1):
+            if type(row[0]) is not int:
+                raise ValueError(f"a JSON scan needs integer n in every row, got row {i}: {json.dumps(row)}")
+        return {n: Fraction(str(v)) for n, v in rows}
     samples = {}
     for i, line in enumerate(text.splitlines(), 1):
         try:

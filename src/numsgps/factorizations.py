@@ -47,33 +47,6 @@ class FactorizationGraphSummary:
         return len(self.components) - 1
 
 
-class _Forest:
-    """Union-find over 0..n-1 with path halving; ``count`` is the number of
-    components.  It serves only the two relation checks,
-    :func:`verify_minimal_presentation` and :func:`connects_under_relations`,
-    where edges arrive as explicit pairs."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the components of a and b; False when they were already one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.count -= 1
-        return True
-
-
 def factorizations(S: Semigroup, t: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors z >= 0 with z . generators = t, sorted; empty iff t is not in S.
 
@@ -231,7 +204,9 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
     A relation set is a minimal presentation iff its degree multiset matches
     the Betti elements with multiplicity and, for each Betti element, the
     relations of that degree join distinct components of its factorization
-    graph into a spanning tree.
+    graph into a spanning tree.  Each degree keeps one label per component:
+    a relation whose sides carry the same label is redundant, and otherwise
+    every component with one side's label takes the other's.
     """
     problems = []
     gens = S.generators
@@ -260,13 +235,17 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
         if not S.contains(beta):
             raise ValueError(f"{beta} is not an element of {S!r}")
         n, component = _component_lookup(S, beta)
-        forest = _Forest(n)
+        label = list(range(n))
         for rel in rels:
             if min(rel.left + rel.right) < 0:
                 problems.append(f"relation {rel} uses a vector that does not factor {beta}")
-            elif not forest.union(component(rel.left), component(rel.right)):
+                continue
+            a, b = label[component(rel.left)], label[component(rel.right)]
+            if a == b:
                 problems.append(f"relation {rel} is redundant (same component of degree {beta})")
-        merges = n - forest.count
+            else:
+                label = [a if x == b else x for x in label]
+        merges = n - len(set(label))
         if merges != n - 1:
             problems.append(
                 f"relations of degree {beta} merge {merges} of {n - 1} needed components"
@@ -276,24 +255,22 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
 
 def connects_under_relations(S: Semigroup, relations, t: int) -> bool:
     """True iff the relations, closed under translation, chain together every
-    pair of factorizations of t (the defining property of a presentation)."""
-    zs = factorizations(S, t)
-    if len(zs) <= 1:
-        return True
-    index = {z: i for i, z in enumerate(zs)}
-    forest = _Forest(len(zs))
-    pairs = []
-    for rel in relations:
-        pairs.append((rel.left, rel.right))
-        pairs.append((rel.right, rel.left))
-    for z in zs:
-        zi = index[z]
-        for a, b in pairs:
-            u = tuple(x - y for x, y in zip(z, a))
-            if any(c < 0 for c in u):
-                continue
-            other = tuple(x + y for x, y in zip(u, b))
-            oi = index.get(other)
-            if oi is not None:
-                forest.union(zi, oi)
-    return forest.count == 1
+    pair of factorizations of t (the defining property of a presentation).
+
+    A search from one factorization of t applies each relation in both
+    directions, z -> z - left + right and z -> z - right + left, skipping a
+    move where z - side has a negative entry, and must reach all of Z(t); a t
+    outside S has no pair to chain.
+    """
+    unseen = set(factorizations(S, t))
+    todo = [unseen.pop()] if unseen else []
+    moves = [(r.left, r.right) for r in relations] + [(r.right, r.left) for r in relations]
+    while todo:
+        z = todo.pop()
+        for a, b in moves:
+            if all(x >= y for x, y in zip(z, a)):
+                w = tuple(x - y + c for x, y, c in zip(z, a, b))
+                if w in unseen:
+                    unseen.remove(w)
+                    todo.append(w)
+    return not unseen

@@ -273,6 +273,22 @@ class TestFamily:
         assert err.startswith("error: ") and 'a "rows" list of [n, value] pairs' in err
 
     @pytest.mark.parametrize(
+        "text, row",
+        [('{"rows": [[5.5, 1], [6, 2], [7, 3]]}', "row 1: [5.5, 1]"),
+         ('{"rows": [[5, 1], [true, 2], [7, 3]]}', "row 2: [true, 2]"),
+         ('{"rows": [[5, 1], [6, 2], ["a", 3]]}', 'row 3: ["a", 3]')],
+        ids=["float-n", "boolean-n", "string-n"],
+    )
+    def test_fit_from_json_scan_with_non_integer_n(self, capsys, spec_file, tmp_path, text, row):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        saved = tmp_path / "scan.json"
+        saved.write_text(text)
+        code, out, err = run(capsys, "family", "--spec", spec, "fit", "--invariant", "genus",
+                             "--degree", "1", "--period", "1", "--from", str(saved))
+        assert code == 1 and out == ""
+        assert err == f"error: a JSON scan needs integer n in every row, got {row}\n"
+
+    @pytest.mark.parametrize(
         "text, line",
         [("5,1\n6\n", "line 2: '6'"), ("5,1\nsix,2\n", "line 2: 'six,2'"),
          ("5,one\n", "line 1: '5,one'")],

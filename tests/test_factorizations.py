@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -304,6 +305,27 @@ class TestMinimalPresentation:
         ]
         for relations, problems in cases:
             assert verify_minimal_presentation(S, relations) == problems, relations
+
+    def test_verifier_three_components(self):
+        # <6, 10, 15> has one Betti element, 30 = 5*6 = 3*10 = 2*15, whose
+        # three factorizations are three components
+        S = Semigroup([6, 10, 15])
+        a, b, c = (5, 0, 0), (0, 3, 0), (0, 0, 2)
+        edges = [Relation(a, b, 30), Relation(a, c, 30), Relation(b, c, 30)]
+        edges += [Relation(r.right, r.left, 30) for r in edges]
+        for first, second in permutations(edges, 2):
+            spanning = first.as_pair() != second.as_pair()
+            assert (verify_minimal_presentation(S, [first, second]) == []) == spanning
+        extra = "degree multiset [30, 30, 30] != Betti elements with multiplicity [30, 30]"
+        for first, second, third in permutations(edges[:3]):
+            assert verify_minimal_presentation(S, [first, second, third]) == [
+                extra, f"relation {third} is redundant (same component of degree 30)"
+            ]
+        for edge in edges:
+            assert verify_minimal_presentation(S, [edge]) == [
+                "degree multiset [30] != Betti elements with multiplicity [30, 30]",
+                "relations of degree 30 merge 1 of 2 needed components",
+            ]
 
     def test_verifier_edge_cases(self):
         S = Semigroup([6, 9, 20])

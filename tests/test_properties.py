@@ -1,5 +1,6 @@
 """Derandomized property tests (hypothesis) against the conftest oracles."""
 
+from fractions import Fraction
 from itertools import count, islice
 from math import gcd
 
@@ -17,7 +18,9 @@ from numsgps import (
     LinearFamily,
     Semigroup,
     betti_elements,
+    connects_under_relations,
     factorization_graph,
+    fit,
     minimal_presentation,
     verify_fast_apery,
     verify_minimal_presentation,
@@ -35,6 +38,43 @@ def test_minimal_presentation_verifies_and_graphs_match_oracle(gens):
     for t, zs in enumerate(brute_factorization_table(S.generators, 60)):
         if zs:
             assert factorization_graph(S, t).components == brute_components(zs), t
+
+
+def chained_by(relations, zs):
+    """Whether the relations, applied in both directions under translation,
+    link every factorization in the set zs: grow the set reached from its
+    least member by whole rounds of moves until a round adds nothing."""
+    moves = [(r.left, r.right) for r in relations] + [(r.right, r.left) for r in relations]
+    reached = set(sorted(zs)[:1])
+    while True:
+        step = {
+            tuple(y - a + b for y, a, b in zip(z, left, right))
+            for z in reached
+            for left, right in moves
+            if all(y >= a for y, a in zip(z, left))
+        }
+        if step & zs <= reached:
+            return reached == zs
+        reached |= step & zs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_generators)
+def test_minimal_presentation_chains_and_each_relation_is_needed(gens):
+    S = Semigroup(gens, keep_order=True)
+    rels = minimal_presentation(S)
+    table = brute_factorization_table(S.generators, max([60] + [r.degree for r in rels]))
+    for t in range(61):
+        assert chained_by(rels, table[t]), t
+        assert connects_under_relations(S, rels, t), t
+    for i, rel in enumerate(rels):
+        # at a Betti element the components are the classes under the
+        # relations of lower degree, so every relation of that degree counts
+        rest = rels[:i] + rels[i + 1:]
+        assert not chained_by(rest, table[rel.degree]), rel
+        assert not connects_under_relations(S, rest, rel.degree), rel
+        for t in range(61):
+            assert connects_under_relations(S, rest, t) == chained_by(rest, table[t]), (rel, t)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -129,3 +169,34 @@ def test_closed_form_apery_set_matches_direct(fam):
         for x in sorted(brute_members(fam.generators(n), max(chk.theorem.elements))):
             least.setdefault(x % n, x)
         assert list(chk.theorem.elements) == [least[i] for i in range(n)], (fam, n)
+
+
+@st.composite
+def quasipolynomial_samples(draw):
+    """A period 1..3, a degree 0..2, coefficients a/b (|a| <= 5, b <= 4) per
+    residue class (coeffs[s][j] multiplies n**j on the class s), and the
+    values at degree + 2 to degree + 4 consecutive n of every class."""
+    period = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 2))
+    fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    coeffs = draw(st.lists(st.lists(fractions, min_size=degree + 1, max_size=degree + 1),
+                           min_size=period, max_size=period))
+    start = draw(st.integers(0, 20))
+    per_class = draw(st.integers(degree + 2, degree + 4))
+    samples = {
+        n: sum(c * n**j for j, c in enumerate(coeffs[n % period]))
+        for n in range(start, start + period * per_class)
+    }
+    return period, degree, coeffs, samples
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(quasipolynomial_samples())
+def test_fit_reproduces_its_samples(case):
+    period, degree, coeffs, samples = case
+    qp = fit(samples, period, degree)
+    assert all(qp.evaluate(n) == v for n, v in samples.items())
+    rows = [tuple(coeffs[s][j] for s in range(period)) for j in range(degree + 1)]
+    while len(rows) > 1 and not any(rows[-1]):
+        rows.pop()
+    assert (qp.degree, qp.coeffs) == (len(rows) - 1, tuple(rows))
