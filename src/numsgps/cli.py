@@ -316,21 +316,34 @@ def _read_scan_rows(source) -> dict:
     """Parse a previously emitted scan (JSON payload or CSV n,value rows)."""
     text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
     text = text.strip()
+    rows = []  # (n, value, kind, where) in input order
     if text.startswith("{"):
-        rows = json.loads(text).get("rows")
-        if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 2 for r in rows):
+        pairs = json.loads(text).get("rows")
+        if not isinstance(pairs, list) or any(not isinstance(r, list) or len(r) != 2 for r in pairs):
             raise ValueError('a JSON scan needs a "rows" list of [n, value] pairs')
-        for i, row in enumerate(rows, 1):
-            if type(row[0]) is not int:
-                raise ValueError(f"a JSON scan needs integer n in every row, got row {i}: {json.dumps(row)}")
-        return {n: Fraction(str(v)) for n, v in rows}
+        for i, (n, v) in enumerate(pairs, 1):
+            where = f"row {i}: {json.dumps([n, v])}"
+            if type(n) is not int:
+                raise ValueError(f"a JSON scan needs integer n in every row, got {where}")
+            bad_value = f"a JSON scan needs a rational value in every row, got {where}"
+            if type(v) not in (int, str):
+                raise ValueError(bad_value)
+            try:
+                rows.append((n, Fraction(v), "JSON", where))
+            except ValueError:
+                raise ValueError(bad_value) from None
+    else:
+        for i, line in enumerate(text.splitlines(), 1):
+            try:
+                n, value = line.split(",", 1)
+                rows.append((int(n), Fraction(value), "CSV", f"line {i}: {line!r}"))
+            except ValueError:
+                raise ValueError(f"a CSV scan needs n,value rows, got line {i}: {line!r}") from None
     samples = {}
-    for i, line in enumerate(text.splitlines(), 1):
-        try:
-            n, value = line.split(",", 1)
-            samples[int(n)] = Fraction(value)
-        except ValueError:
-            raise ValueError(f"a CSV scan needs n,value rows, got line {i}: {line!r}") from None
+    for n, value, kind, where in rows:
+        if n in samples:
+            raise ValueError(f"a {kind} scan repeats n={n}, got {where}")
+        samples[n] = value
     return samples
 
 

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
-from threading import Lock
 
 from .factorizations import (
     Relation,
@@ -27,9 +26,12 @@ class VerificationError(RuntimeError):
     """An identity that is guaranteed in the large-n regime failed to verify."""
 
 
-# guards the member memo of every LinearFamily: a family is a value that
-# threads may share, and the memo's pop, evict and insert must not interleave
-_MEMO_LOCK = Lock()
+def _member(gens: tuple[int, ...]) -> Semigroup:
+    """The semigroup on ``gens`` in the given order: the one constructor of
+    family members."""
+    if any(g < 1 for g in gens):
+        raise ValueError(f"non-positive generator in {gens}")
+    return Semigroup(gens, keep_order=True)
 
 
 def _dot(z, v) -> int:
@@ -117,30 +119,16 @@ class LinearFamily:
         return tuple(wi * n + ri for wi, ri in zip(self.w, self.r))
 
     @cached_property
-    def _recent(self) -> dict[int, Semigroup]:
+    def _members(self):
         # not a field: ==, hash and repr see only w, r and shift
-        return {}
+        return lru_cache(maxsize=2)(_member)
 
     def instantiate(self, n: int) -> Semigroup:
         """The member semigroup at parameter n, generator order preserved.
-
-        The two members returned most recently are kept, and a repeated n
-        returns the same instance, so its residue table and Betti elements are
-        computed once: transport and the Betti bijection both use n and n + p,
-        PF transport n and n + r_k.  Errors are not kept; they raise again.
-        """
-        with _MEMO_LOCK:
-            recent = self._recent
-            P = recent.pop(n, None)
-            if P is None:
-                gens = self.generators(n)
-                if any(g < 1 for g in gens):
-                    raise ValueError(f"non-positive generator in {gens} at n={n}")
-                P = Semigroup(gens, keep_order=True)
-                if len(recent) == 2:
-                    del recent[next(iter(recent))]  # the least recently returned
-            recent[n] = P
-            return P
+        The family's two most recent members are kept (a thread-safe LRU), so
+        transport and the Betti bijection, which both use n and n + p, compute
+        each residue table and Betti set once.  Errors raise again."""
+        return self._members(self.generators(n))
 
 
 @dataclass(frozen=True)
@@ -198,10 +186,7 @@ class PolynomialFamily:
         return tuple(self.value(i, n) for i in range(self.k))
 
     def instantiate(self, n: int) -> Semigroup:
-        gens = self.generators(n)
-        if any(g < 1 for g in gens):
-            raise ValueError(f"non-positive generator in {gens} at n={n}")
-        return Semigroup(gens, keep_order=True)
+        return _member(self.generators(n))
 
 
 def _ints(value, key: str) -> tuple[int, ...]:
@@ -423,7 +408,7 @@ def _inner_semigroup(family: LinearFamily):
         if ri > 0:
             best[ri] = min(best.get(ri, wi), wi)
     rs = tuple(sorted(best))
-    return Semigroup(rs, keep_order=True), tuple(best[x] for x in rs)
+    return _member(rs), tuple(best[x] for x in rs)
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,60 @@ class TestFamily:
         assert code == 1 and out == ""
         assert err == f"error: a CSV scan needs n,value rows, got {line}\n"
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [('{"rows": [[5, 1], [6, true], [7, 3]]}', "row 2: [6, true]"),
+         ('{"rows": [[5, null], [6, 2], [7, 3]]}', "row 1: [5, null]"),
+         ('{"rows": [[5, 1], [6, 2], [7, [1]]]}', "row 3: [7, [1]]"),
+         ('{"rows": [[5, 1], [6, "two"], [7, 3]]}', 'row 2: [6, "two"]')],
+        ids=["boolean-value", "null-value", "list-value", "non-rational-string"],
+    )
+    def test_fit_from_json_scan_with_non_rational_value(self, capsys, spec_file, tmp_path, text, row):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        saved = tmp_path / "scan.json"
+        saved.write_text(text)
+        code, out, err = run(capsys, "family", "--spec", spec, "fit", "--invariant", "genus",
+                             "--degree", "1", "--period", "1", "--from", str(saved))
+        assert code == 1 and out == ""
+        assert err == f"error: a JSON scan needs a rational value in every row, got {row}\n"
+
+    def test_fit_from_json_scan_with_rational_strings(self, capsys, spec_file, tmp_path):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        saved = tmp_path / "scan.json"
+        saved.write_text('{"rows": [[5, "1/2"], [6, 1], [7, "3/2"], [8, 2]]}')
+        code, out, _ = run(capsys, "family", "--spec", spec, "fit", "--invariant", "genus",
+                           "--degree", "1", "--period", "1", "--from", str(saved), "--json")
+        assert code == 0 and json.loads(out)["leading_coefficient"] == "1/2"
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [("scan.csv", "5,1\n5,9\n6,2\n7,3\n8,4\n", "a CSV scan repeats n=5, got line 2: '5,9'"),
+         ("scan.json", '{"rows": [[5, 1], [6, 2], [7, 3], [8, 4], [6, 9]]}',
+          "a JSON scan repeats n=6, got row 5: [6, 9]")],
+        ids=["csv", "json"],
+    )
+    def test_fit_from_scan_with_repeated_n(self, capsys, spec_file, tmp_path, name, text, message):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        saved = tmp_path / name
+        saved.write_text(text)
+        code, out, err = run(capsys, "family", "--spec", spec, "fit", "--invariant", "genus",
+                             "--degree", "1", "--period", "1", "--from", str(saved))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "subcommand, gens",
+        [(["scan", "--invariant", "genus", "--range", "2", "4"], "(-1, 2, 4)"),
+         (["verify-betti-bijection", "--n", "1"], "(-2, 1, 3)")],
+        ids=["scan", "verify-betti-bijection"],
+    )
+    def test_non_positive_member_names_no_internal_parameter(self, capsys, spec_file, subcommand, gens):
+        # normalization shifts n by 3, so the internal parameter differs from the one given
+        spec = spec_file({"w": [1, 1, 1], "r": [-3, 0, 2]})
+        code, out, err = run(capsys, "family", "--spec", spec, *subcommand)
+        assert code == 1 and out == ""
+        assert err == f"error: non-positive generator in {gens}\n"
+
     def test_fit_from_file_closes_it(self, spec_file, tmp_path):
         spec = spec_file({"w": [1, 1], "r": [0, 2]})
         saved = tmp_path / "scan.csv"

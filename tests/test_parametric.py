@@ -117,7 +117,7 @@ class TestMemberMemo:
                 for i in range(300):
                     n = 10 + i % 3
                     assert fam.instantiate(n).generators == (n, n + 3, n + 5)
-                    assert len(fam._recent) <= 2
+                    assert fam._members.cache_info().currsize <= 2  # holds by construction
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -133,7 +133,14 @@ class TestMemberMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(fam._recent) <= 2
+        assert fam.instantiate(12) is fam.instantiate(12)  # the cache still serves hits
+
+    def test_equal_families_keep_their_own_members(self):
+        # so two runs of one job, each with its own family, compute independently
+        a = LinearFamily.normalize((1, 1, 1), (0, 3, 5))
+        b = LinearFamily.normalize((1, 1, 1), (0, 3, 5))
+        assert a == b and a.instantiate(10) == b.instantiate(10)
+        assert a.instantiate(10) is not b.instantiate(10)
 
     def test_family_identity_unchanged(self):
         fam = LinearFamily.normalize((1, 1, 1), (0, 3, 5))

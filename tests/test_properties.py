@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import count, islice
 from math import gcd
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,13 +17,17 @@ from conftest import (
 from numsgps import (
     LinearFamily,
     Semigroup,
+    betti_bijection,
     betti_elements,
     connects_under_relations,
     factorization_graph,
     fit,
+    min_delta_w,
     minimal_presentation,
+    transport_presentation,
     verify_fast_apery,
     verify_minimal_presentation,
+    weighted_delta_profile,
 )
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
@@ -169,6 +173,53 @@ def test_closed_form_apery_set_matches_direct(fam):
         for x in sorted(brute_members(fam.generators(n), max(chk.theorem.elements))):
             least.setdefault(x % n, x)
         assert list(chk.theorem.elements) == [least[i] for i in range(n)], (fam, n)
+
+
+@st.composite
+def linear_families(draw):
+    """Non-degenerate linear families of 2-4 generators with weights in 1..3
+    and offsets in 0..4."""
+    k = draw(st.integers(2, 4))
+    w = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    r = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    fam = LinearFamily.normalize(w, r)
+    assume(not fam.is_degenerate)
+    return fam
+
+
+def _proper(gens) -> bool:
+    """Distinct generators with gcd 1."""
+    return len(set(gens)) == len(gens) and gcd(*gens) == 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(linear_families())
+@example(LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6)))
+@example(LinearFamily.normalize((3, 1), (0, 4)))  # w_1 > 1
+def test_transport_and_betti_bijection_hold_above_the_bound(fam):
+    # n = bound + 1 .. bound + 3 where P_n and P_{n+p} are proper numerical semigroups
+    for n in range(fam.transport_bound + 1, fam.transport_bound + 4):
+        if _proper(fam.generators(n)) and _proper(fam.generators(n + fam.period)):
+            assert transport_presentation(fam, n).ok, (fam, n)
+            assert betti_bijection(fam, n).is_bijection, (fam, n)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    small_generators.filter(lambda gens: len(gens) >= 2),
+    st.lists(st.builds(Fraction, st.integers(-3, 6), st.integers(1, 3)), min_size=4, max_size=4),
+)
+@example([6, 9, 20], [Fraction(3), Fraction(1), Fraction(4)])
+@example([3, 5], [Fraction(3), Fraction(5)])  # w_i = g_i: every weighted length equal
+def test_min_delta_w_divides_every_profile_gap(gens, weights):
+    S = Semigroup(gens, keep_order=True)
+    w = weights[: S.k]
+    least = min_delta_w(S, w)
+    gaps = [g for deltas in weighted_delta_profile(S, w, 120).values() for g in deltas]
+    if least == 0:
+        assert gaps == [], (gens, w)
+    else:
+        assert all((g / least).denominator == 1 for g in gaps), (gens, w)
 
 
 @st.composite
