@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+# Largest modulus ``Semigroup._apery_table`` accepts, checked before anything is
+# allocated.  A table peaks at about 80 bytes per residue class (the numpy
+# arrays of one pass plus the returned list of Python ints), so a table at the
+# budget peaks near 0.8 GB.
+APERY_TABLE_BUDGET = 10**7
+
 
 class Semigroup:
     """The subsemigroup of Z>=0 generated by a tuple of positive integers.
@@ -65,35 +71,56 @@ class Semigroup:
 
     def _apery_table(self, m: int) -> list[int]:
         """table[rho] = least element of the reduced semigroup congruent to rho
-        mod m, for m a positive element of it, by round robin with no heap
-        (Boecker and Liptak 2007).  Generator a splits the residues into
-        gcd(a, m) cycles r -> r + a, each walked once from its least entry,
-        carrying v + a while it beats the entry it lands on; a carried value
-        never lowers the cycle minimum, so one walk is enough.  Unreached
-        classes hold the sentinel m * max(generators): the partial sums of a
-        factorization of an Apery element are Apery elements in distinct
-        classes, so every true entry is at most (m - 1) * max."""
+        mod m, for m a positive element of it, by round robin (Boecker and
+        Liptak 2007): one pass per generator, each pass one min-plus prefix
+        scan per residue cycle, in numpy.
+
+        Generator a splits the residues into c = gcd(a, m) cycles
+        s, s + a, ..., s + (L - 1) a (mod m), s < c, of length L = m / c.  Its
+        pass lets every entry reach the others of its cycle by adding a's:
+        new[j] = min over i of tab[i] + ((j - i) mod L) a, positions counted
+        along the cycle.  One lap is enough, because a full lap adds
+        L a = 0 (mod m) and so never beats the entry it started from.  Put
+        x_i = tab[i] - i a.  The term of an i <= j is x_i + j a; that of an
+        i > j goes through the wrap and is x_i + j a + L a.  So
+        new[j] = j a + min(P_j, X + L a), with P_j = min(x_0, ..., x_j) and
+        X the minimum of the whole row.  X may be the x_i of some i <= j, but
+        then x_i + L a >= x_i >= P_j, so the plain minimum is exact.  The c
+        cycles are the rows of one 2-D index array: one gather, one scan, one
+        scatter per generator.
+
+        Unreached classes hold the sentinel big = m * max(generators): the
+        partial sums of a factorization of an Apery element are Apery elements
+        in distinct classes, so every true entry is at most (m - 1) * max.
+        Every intermediate then lies in [-big, 2 big]: x_i >= -(m - 1) max,
+        and X + L a <= big + m max.  So int64 is exact when 2 big < 2**63;
+        beyond that the same scan runs on Python ints (dtype object).  The
+        table comes back as a list of Python ints.
+        """
+        if m > APERY_TABLE_BUDGET:
+            raise ValueError(
+                f"an Apery table modulo {m} is over the budget of "
+                f"{APERY_TABLE_BUDGET} residue classes"
+            )
+        import numpy as np  # kept out of ``import numsgps``
+
         red = self._reduced
-        tab = [0] + [m * max(red)] * (m - 1)
+        big = m * max(red)
+        dtype = np.int64 if 2 * big < 2**63 else object
+        tab = np.full(m, big, dtype=dtype)
+        tab[0] = 0
         for a in red:
             step = a % m
             if step == 0:
                 continue
-            cycles = gcd(a, m)
-            for start in range(cycles):
-                cycle = tab[start::cycles]
-                v = min(cycle)
-                r = start + cycles * cycle.index(v)
-                for _ in range(m // cycles - 1):
-                    r += step
-                    if r >= m:
-                        r -= m
-                    v += a
-                    if v < tab[r]:
-                        tab[r] = v
-                    else:
-                        v = tab[r]
-        return tab
+            cycles = gcd(step, m)
+            length = m // cycles
+            idx = np.arange(0, length * step, step) % m + np.arange(cycles)[:, None]
+            ramp = np.arange(length, dtype=dtype) * a
+            x = tab[idx] - ramp
+            wrap = x.min(axis=1, keepdims=True) + length * a
+            tab[idx] = ramp + np.minimum(np.minimum.accumulate(x, axis=1), wrap)
+        return tab.tolist()
 
     @cached_property
     def _residue_table(self) -> list[int]:

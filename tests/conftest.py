@@ -138,3 +138,28 @@ def random_weights(rng: random.Random, k, allow_negative=True):
     return tuple(
         Fraction(rng.randint(lo, 6), rng.randint(1, 4)) for _ in range(k)
     )
+
+
+def loop_apery_table(gens, m):
+    """The Apery table modulo m (an element of the gcd-1 semigroup of gens)
+    by the plain per-residue round robin, in Python ints: each generator a
+    walks every cycle r -> r + a (mod m) from its least entry, carrying v + a
+    while it beats the entry it lands on.  The reference the vectorized
+    kernel must equal entry for entry, at any integer width."""
+    tab = [0] + [None] * (m - 1)
+    for a in gens:
+        cycles = gcd(a, m)
+        for start in range(cycles):
+            cycle = [r for r in range(start, m, cycles) if tab[r] is not None]
+            if not cycle:
+                continue
+            r = min(cycle, key=lambda r: tab[r])
+            v = tab[r]
+            for _ in range(m // cycles - 1):
+                r = (r + a) % m
+                v += a
+                if tab[r] is None or v < tab[r]:
+                    tab[r] = v
+                else:
+                    v = tab[r]
+    return tab

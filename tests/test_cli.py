@@ -52,6 +52,15 @@ class TestInvariants:
         doc = json.loads(out)
         assert doc["apery"]["base"] == 9 and len(doc["apery"]["elements"]) == 9
 
+    @pytest.mark.parametrize("argv, modulus", [
+        (["1000000007", "1000000009"], 1000000007),  # the residue table itself
+        (["6", "9", "20", "--apery", "1000000000000"], 1000000000000),
+    ])
+    def test_apery_table_over_budget(self, capsys, argv, modulus):
+        code, out, err = run(capsys, "invariants", *argv)
+        assert code == 1 and out == ""
+        assert f"error: an Apery table modulo {modulus} is over the budget of " in err
+
 
 class TestMinpres:
     def test_six_nine_twenty(self, capsys):

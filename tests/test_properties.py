@@ -13,6 +13,7 @@ from conftest import (
     brute_factorization_table,
     brute_members,
     brute_pseudo_frobenius,
+    loop_apery_table,
 )
 from numsgps import (
     LinearFamily,
@@ -97,6 +98,21 @@ def test_betti_elements_match_oracle_under_scaling(gens, scale):
     assert got == {scale * b: m for b, m in unscaled.items()}
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_generators, st.sampled_from([1, 2, 3]))
+@example([4, 7], 2)  # gcd 2
+@example([9, 6, 10], 3)  # gcd 3, unsorted
+@example([7], 3)  # k = 1
+def test_frobenius_and_pseudo_frobenius_under_permutation_and_scaling(gens, scale):
+    # both read the Apery table of the reduced generators, so the drawn order
+    # must not matter and scaling by s must scale F by s; PF needs gcd 1
+    S = Semigroup([scale * g for g in gens], keep_order=True)
+    T = Semigroup(sorted(gens))
+    assert S.frobenius() == scale * T.frobenius()
+    if S.d == 1:
+        assert S.pseudo_frobenius() == T.pseudo_frobenius()
+
+
 @st.composite
 def scaled_generators(draw):
     """1-4 distinct generators in 1..60 (in drawn order), scaled so that gcd 2
@@ -137,6 +153,7 @@ def semigroup_and_element(draw):
 @example(([5, 7, 30], 10))  # 30 a multiple of m
 @example(([6, 9, 20, 11], 24))  # 6, 9 and 20 share factors with m: multi-cycle walks
 @example(([21, 13], 42))  # a cycle of length 2 in gcd(21, 42) = 21 cycles
+@example(([90, 151, 60], 120))  # 60 and 90 split 120 into 60 and 30 cycles
 def test_apery_set_and_pseudo_frobenius_match_oracle(case):
     gens, m = case
     S = Semigroup(gens, keep_order=True)
@@ -146,6 +163,26 @@ def test_apery_set_and_pseudo_frobenius_match_oracle(case):
     assert list(S.apery_set(m).elements) == least
     if d == 1:
         assert list(S.pseudo_frobenius()) == brute_pseudo_frobenius(gens, S.frobenius())
+
+
+@st.composite
+def wide_generators(draw):
+    """A modulus m in 1..40 and 1-3 more generators, each small or of 55-64
+    bits, so that 2 * m * max falls on both sides of 2**63, the int64 limit
+    of the Apery table; gcd 1, in drawn order."""
+    m = draw(st.integers(1, 40))
+    sizes = st.one_of(st.integers(1, 300), st.integers(2**55, 2**64))
+    rest = draw(st.lists(sizes, min_size=1, max_size=3, unique=True))
+    assume(m not in rest and gcd(m, *rest) == 1)
+    return draw(st.permutations([m, *rest])), m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_generators())
+def test_apery_table_matches_the_plain_loop_at_any_width(case):
+    gens, m = case
+    S = Semigroup(gens, keep_order=True)
+    assert list(S.apery_set(m).elements) == loop_apery_table(gens, m)
 
 
 @st.composite

@@ -1,10 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from conftest import brute_members, brute_pseudo_frobenius, random_generators
 from numsgps import Semigroup
+from numsgps.semigroup import APERY_TABLE_BUDGET
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestConstruction:
@@ -191,6 +199,98 @@ class TestPseudoFrobenius:
                 assert S.type() == 1, gens
                 found += 1
         assert found > 3
+
+
+class TestAperyTableWidth:
+    """The Apery table runs on int64 while 2 * m * max(reduced) < 2**63 and on
+    Python ints beyond; both sides of that line must be exact.  The expected
+    values are closed forms, not the library's algorithm."""
+
+    @pytest.mark.parametrize("a, b", [
+        (2, 2**61 - 1),  # 2 * m * max = 2**63 - 4: the widest int64 table
+        (2, 2**61 + 1),  # 2**63 + 4: just past it
+        (2, 2**62 + 1),
+        (3, 10**20 + 1),
+    ])
+    @pytest.mark.parametrize("d", [1, 10**15])
+    def test_two_generators_match_sylvester(self, a, b, d):
+        # <a, b> with gcd(a, b) = 1: F = ab - a - b, g = (a - 1)(b - 1)/2 and
+        # Ap(S; a) = {j b : j < a}; scaling by d scales F and the Apery set
+        S = Semigroup([d * a, d * b])
+        assert S.frobenius() == d * (a * b - a - b)
+        assert S.genus() == (a - 1) * (b - 1) // 2
+        assert sorted(S.apery_set(d * a).elements) == [d * j * b for j in range(a)]
+        if d == 1:
+            assert S.pseudo_frobenius() == (a * b - a - b,)
+
+    @staticmethod
+    def four_two_e_closed_form(e):
+        # <4, 2e, 2e + 1>, e odd: 2e and 2e + 1 are 2 and 3 mod 4, and class 1
+        # is first reached by 2e + (2e + 1); every other factorization is larger
+        return {"apery": [0, 4 * e + 1, 2 * e, 2 * e + 1], "frobenius": 4 * e - 3,
+                "genus": 2 * e - 1, "pf": (4 * e - 3,)}
+
+    @pytest.mark.parametrize("e", [3, 5, 7, 11])
+    def test_three_generator_closed_form_against_definition(self, e):
+        gens = (4, 2 * e, 2 * e + 1)
+        members = brute_members(gens, 4 * max(gens))
+        least = [min(x for x in members if x % 4 == rho) for rho in range(4)]
+        want = self.four_two_e_closed_form(e)
+        gaps = [t for t in range(4 * max(gens)) if t not in members]
+        assert least == want["apery"]
+        assert (max(gaps), len(gaps)) == (want["frobenius"], want["genus"])
+        assert list(want["pf"]) == brute_pseudo_frobenius(gens, want["frobenius"])
+
+    @pytest.mark.parametrize("e", [
+        2**59 - 1,  # 2 * m * max = 2**63 - 8: int64
+        2**63 // 9 | 1,  # m * max < 2**63, but the wrap term of the unreached
+        # cycle {1, 3} under 2e, big + 2e, is past 2**63
+        3**40,
+    ])
+    def test_multi_cycle_table_at_the_int64_limit(self, e):
+        # the pass for 2e splits the residues mod 4 into two cycles, one of
+        # them all sentinels: the widest intermediate the kernel forms
+        S = Semigroup([4, 2 * e, 2 * e + 1])
+        want = self.four_two_e_closed_form(e)
+        assert list(S.apery_set(4).elements) == want["apery"]
+        assert S.frobenius() == want["frobenius"]
+        assert S.genus() == want["genus"]
+        assert S.pseudo_frobenius() == want["pf"]
+
+
+class TestAperyTableBudget:
+    def test_over_budget_raises_before_allocating(self):
+        m = APERY_TABLE_BUDGET + 1
+        S = Semigroup([m, m + 1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"modulo {m} is over the budget of {APERY_TABLE_BUDGET}"):
+                S.frobenius()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_apery_set_at_a_huge_base(self):
+        S = Semigroup([6, 9, 20])
+        with pytest.raises(ValueError, match="over the budget"):
+            S.apery_set(10**12)
+        assert len(S.apery_set(600)) == 600  # a base under the budget is served
+
+    def test_budget_counts_residue_classes_of_the_reduced_semigroup(self):
+        # a multiplicity over the budget is fine when gcd d brings m/d under it
+        d = 10**6
+        S = Semigroup([1000 * d, 1001 * d])
+        assert S.multiplicity > APERY_TABLE_BUDGET
+        assert S.frobenius() == d * (1000 * 1001 - 1000 - 1001)
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported by the Apery-table kernel on first use, not by the package
+    code = "import sys, numsgps; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConcurrency:
