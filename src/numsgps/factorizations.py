@@ -50,35 +50,33 @@ class FactorizationGraphSummary:
 def factorizations(S: Semigroup, t: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors z >= 0 with z . generators = t, sorted; empty iff t is not in S.
 
-    Recursion assigns the largest generator first with quotient bounds, and
-    prunes any remainder that the suffix of smaller generators cannot reach.
+    In reduced units, recursion assigns the largest generator first and prunes
+    a remainder r the smaller ones cannot reach: with e their gcd and tab their
+    table in ``S._prefix_tables`` (modulo the smallest, m), they reach r iff
+    r % e == 0 and r >= tab[r % m]; off the multiples of e, tab is the sentinel.
     """
     if t < 0 or not S.contains(t):
         return ()
-    order, suffixes = S._descending_suffixes
-    gens = S.generators
-    k = S.k
+    passes = S._prefix_tables
+    m = passes[0][1]
     out = []
-    vec = [0] * k
+    vec = [0] * S.k
 
-    def rec(j: int, remaining: int) -> None:
-        pos = order[j]
-        g = gens[pos]
-        if j == k - 1:
-            if remaining % g == 0:
-                vec[pos] = remaining // g
-                out.append(tuple(vec))
-                vec[pos] = 0
-            return
-        nxt = suffixes[j + 1]
-        for c in range(remaining // g, -1, -1):
-            rem = remaining - c * g
-            if nxt.contains(rem):
-                vec[pos] = c
-                rec(j + 1, rem)
+    def rec(i: int, r: int) -> None:
+        # r is reachable by the i + 1 smallest generators
+        pos, g, _, _ = passes[i]
+        if i == 0:
+            vec[pos] = r // g
+            out.append(tuple(vec))
+        else:
+            _, _, e, tab = passes[i - 1]
+            for rest in range(r % g, r + 1, g):
+                if rest % e == 0 and rest >= tab[rest % m]:
+                    vec[pos] = (r - rest) // g
+                    rec(i - 1, rest)
         vec[pos] = 0
 
-    rec(0, t)
+    rec(S.k - 1, t // S.d)
     return tuple(sorted(out))
 
 

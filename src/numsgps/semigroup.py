@@ -3,15 +3,16 @@
 A semigroup here is given by a finite tuple of positive integer generators and
 need not have finite complement: the gcd d of the generators may exceed 1, in
 which case every element is a multiple of d and the Frobenius number / genus
-are taken relative to the multiples of d.  One kernel, the Apery table
-(``Semigroup._apery_table``), serves every modulus: membership, Frobenius
-number, genus, Apery sets and pseudo-Frobenius numbers are read off it.
+are taken relative to the multiples of d.  One kernel, the round robin
+(``Semigroup._round_robin``), builds every Apery table: membership, Frobenius
+number, genus, Apery sets, PF numbers and the enumerator's pruning read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 
 # Largest modulus ``Semigroup._apery_table`` accepts, checked before anything is
@@ -69,11 +70,11 @@ class Semigroup:
         # generators divided by d; a gcd-1 semigroup with the same factorizations
         return tuple(g // self.d for g in self.generators)
 
-    def _apery_table(self, m: int) -> list[int]:
-        """table[rho] = least element of the reduced semigroup congruent to rho
-        mod m, for m a positive element of it, by round robin (Boecker and
-        Liptak 2007): one pass per generator, each pass one min-plus prefix
-        scan per residue cycle, in numpy.
+    def _round_robin(self, m: int, gens):
+        """Round robin (Boecker and Liptak 2007) modulo m over the reduced
+        generators ``gens``, one min-plus pass each; after each pass it yields
+        the table, one numpy array updated in place: tab[rho] is the least
+        element congruent to rho mod m of the semigroup of the gens so far.
 
         Generator a splits the residues into c = gcd(a, m) cycles
         s, s + a, ..., s + (L - 1) a (mod m), s < c, of length L = m / c.  Its
@@ -89,13 +90,13 @@ class Semigroup:
         cycles are the rows of one 2-D index array: one gather, one scan, one
         scatter per generator.
 
-        Unreached classes hold the sentinel big = m * max(generators): the
-        partial sums of a factorization of an Apery element are Apery elements
-        in distinct classes, so every true entry is at most (m - 1) * max.
-        Every intermediate then lies in [-big, 2 big]: x_i >= -(m - 1) max,
-        and X + L a <= big + m max.  So int64 is exact when 2 big < 2**63;
-        beyond that the same scan runs on Python ints (dtype object).  The
-        table comes back as a list of Python ints.
+        Unreached classes hold the sentinel big = m * max(gens): the partial
+        sums of a factorization of a least element lie in distinct classes
+        (cutting out the part between two in one class leaves a smaller
+        element of it), so every true entry is at most (m - 1) * max.  Every
+        intermediate then lies in [-big, 2 big]: x_i >= -(m - 1) max, and
+        X + L a <= big + m max.  So int64 is exact when 2 big < 2**63;
+        beyond that the same scan runs on Python ints (dtype object).
         """
         if m > APERY_TABLE_BUDGET:
             raise ValueError(
@@ -104,23 +105,35 @@ class Semigroup:
             )
         import numpy as np  # kept out of ``import numsgps``
 
-        red = self._reduced
-        big = m * max(red)
+        big = m * max(gens)
         dtype = np.int64 if 2 * big < 2**63 else object
         tab = np.full(m, big, dtype=dtype)
         tab[0] = 0
-        for a in red:
+        for a in gens:
             step = a % m
-            if step == 0:
-                continue
-            cycles = gcd(step, m)
-            length = m // cycles
-            idx = np.arange(0, length * step, step) % m + np.arange(cycles)[:, None]
-            ramp = np.arange(length, dtype=dtype) * a
-            x = tab[idx] - ramp
-            wrap = x.min(axis=1, keepdims=True) + length * a
-            tab[idx] = ramp + np.minimum(np.minimum.accumulate(x, axis=1), wrap)
+            if step:
+                cycles = gcd(step, m)
+                length = m // cycles
+                idx = np.arange(0, length * step, step) % m + np.arange(cycles)[:, None]
+                ramp = np.arange(length, dtype=dtype) * a
+                x = tab[idx] - ramp
+                wrap = x.min(axis=1, keepdims=True) + length * a
+                tab[idx] = ramp + np.minimum(np.minimum.accumulate(x, axis=1), wrap)
+            yield tab
+
+    def _apery_table(self, m: int) -> list[int]:
+        """The Apery table modulo m of the reduced semigroup, as Python ints."""
+        *_, tab = self._round_robin(m, self._reduced)
         return tab.tolist()
+
+    @cached_property
+    def _prefix_tables(self) -> tuple[tuple[int, int, int, list[int]], ...]:
+        """(position, g_i, e_i, tab_i) per reduced generator g_i, ascending: e_i =
+        gcd(g_1, ..., g_i), tab_i the round robin's table modulo g_1 after their
+        passes (sentinel off the multiples of e_i).  Only factorizations() builds them."""
+        gens, order = zip(*sorted(zip(self._reduced, range(self.k))))
+        tables = [tab.tolist() for tab in self._round_robin(gens[0], gens)]
+        return tuple(zip(order, gens, accumulate(gens, gcd), tables))
 
     @cached_property
     def _residue_table(self) -> list[int]:
@@ -232,17 +245,6 @@ class Semigroup:
         if formula == "standard":
             return k * (f + 1 - g) - (f + 1)
         raise ValueError(f"unknown Wilf formula {formula!r}")
-
-    @cached_property
-    def _descending_suffixes(self) -> tuple[tuple[int, ...], tuple["Semigroup", ...]]:
-        """Generator indices sorted by descending value, plus the semigroup of
-        each suffix of that ordering (used to prune factorization search)."""
-        order = tuple(sorted(range(self.k), key=lambda i: -self.generators[i]))
-        suffixes = tuple(
-            Semigroup(tuple(self.generators[i] for i in order[j:]))
-            for j in range(self.k)
-        )
-        return order, suffixes
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,11 @@ from math import gcd, lcm
 from .factorizations import betti_elements, factorizations
 from .semigroup import Semigroup
 
+# Most elements (bound + 1) ``weighted_delta_profile`` accepts, checked before
+# it allocates one mask per element; masks grow with t, so unit weights on
+# <6, 9, 20> at the budget hold about 0.1 GB.
+DELTA_PROFILE_BUDGET = 10**5
+
 
 def rational_gcd(values) -> Fraction:
     """gcd of exact rationals: clear to the common denominator, gcd the
@@ -251,6 +256,11 @@ def weighted_delta_profile(S: Semigroup, w, bound: int) -> dict[int, tuple[Fract
     so the cost stays polynomial even when factorization counts explode.
     """
     _, iw, den = _scaled(S, w)
+    if bound + 1 > DELTA_PROFILE_BUDGET:
+        raise ValueError(
+            f"a delta profile up to {bound} is over the budget of "
+            f"{DELTA_PROFILE_BUDGET} elements"
+        )
     gens = S.generators
     d = S.d
     depth = bound // min(gens) + 1

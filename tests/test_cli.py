@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from numsgps import cli
+from numsgps.weighted import DELTA_PROFILE_BUDGET
 
 
 def run(capsys, *argv):
@@ -107,6 +108,15 @@ class TestDelta:
         code, out, err = run(capsys, "delta", "6", "9", "20", "--max-element", "-5")
         assert code == 1 and out == ""
         assert err == "error: --max-element must be non-negative, got -5\n"
+
+    @pytest.mark.parametrize("weights", [[], ["--weights", "3", "1", "4"]])
+    def test_max_element_over_budget(self, capsys, weights):
+        code, out, err = run(capsys, "delta", "6", "9", "20", *weights, "--max-element", "100000000")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: a delta profile up to 100000000 is over the budget of "
+            f"{DELTA_PROFILE_BUDGET} elements\n"
+        )
 
     def test_max_element_zero(self, capsys):
         code, out, _ = run(capsys, "delta", "6", "9", "20", "--max-element", "0", "--json")

@@ -55,6 +55,35 @@ class TestFactorizations:
                 for z in zs:
                     assert sum(a * g for a, g in zip(z, gens)) == t
 
+    @pytest.mark.parametrize("gens", [(4, 6, 9), (6, 10, 15), (10, 4, 9, 6), (7,)])
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_prefix_gcd_above_one_in_every_order(self, gens, scale):
+        # the ascending prefixes <4, 6> and <6, 10> have gcd 2: their tables
+        # leave the odd classes at the sentinel m * max (36 for <4, 6, 9>),
+        # which the odd remainders above it exceed, so t runs to 3 m max
+        top = 3 * min(gens) * max(gens)
+        for order in permutations(gens):
+            gs = tuple(scale * g for g in order)
+            S = Semigroup(gs, keep_order=True)
+            table = brute_factorization_table(gs, scale * top)
+            assert factorizations(S, -scale) == ()
+            for t in range(scale * top + 1):
+                assert factorizations(S, t) == tuple(sorted(table[t])), (gs, t)
+
+    def test_builds_no_semigroup(self, monkeypatch):
+        S = Semigroup((9, 4, 6, 10), keep_order=True)
+        built = []
+        init = Semigroup.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Semigroup, "__init__", counted)
+        for t in range(200):
+            factorizations(S, t)
+        assert built == []
+
 
 class TestLengthSets:
     def test_examples(self):

@@ -21,7 +21,9 @@ from numsgps import (
     betti_bijection,
     betti_elements,
     connects_under_relations,
+    delta_set_up_to,
     factorization_graph,
+    factorizations,
     fit,
     min_delta_w,
     minimal_presentation,
@@ -102,15 +104,26 @@ def test_betti_elements_match_oracle_under_scaling(gens, scale):
 @given(small_generators, st.sampled_from([1, 2, 3]))
 @example([4, 7], 2)  # gcd 2
 @example([9, 6, 10], 3)  # gcd 3, unsorted
+@example([9, 4, 6], 1)  # the prefix <4, 6> has gcd 2
 @example([7], 3)  # k = 1
 def test_frobenius_and_pseudo_frobenius_under_permutation_and_scaling(gens, scale):
-    # both read the Apery table of the reduced generators, so the drawn order
-    # must not matter and scaling by s must scale F by s; PF needs gcd 1
+    # sS in the drawn order against S sorted: F and the degrees of a minimal
+    # presentation scale by s, PF (gcd 1 only) is the same, Z(s t) is Z(t)
+    # with its coordinates permuted, and the deltas of sS up to s bound are
+    # those of S up to bound
     S = Semigroup([scale * g for g in gens], keep_order=True)
     T = Semigroup(sorted(gens))
     assert S.frobenius() == scale * T.frobenius()
     if S.d == 1:
         assert S.pseudo_frobenius() == T.pseudo_frobenius()
+    assert sorted(r.degree for r in minimal_presentation(S)) == sorted(
+        scale * r.degree for r in minimal_presentation(T)
+    )
+    where = [T.generators.index(g) for g in gens]
+    for t in range(61):
+        permuted = sorted(tuple(z[i] for i in where) for z in factorizations(T, t))
+        assert factorizations(S, scale * t) == tuple(permuted), (S, t)
+    assert delta_set_up_to(S, scale * 100) == delta_set_up_to(T, 100)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from numsgps import (
     weighted_length,
     weighted_length_set,
 )
+from numsgps import weighted
+from numsgps.weighted import DELTA_PROFILE_BUDGET
 
 
 class TestWeightedLength:
@@ -201,6 +204,29 @@ class TestDeltaProfileOracle:
                     assert profile.get(t, ()) == gaps, (gens, w, t)
                 else:
                     assert t not in profile
+
+
+class TestDeltaProfileBudget:
+    def test_over_budget_raises_before_allocating(self):
+        S = Semigroup([6, 9, 20])
+        bound = DELTA_PROFILE_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"up to {bound} is over the budget of {bound} elements"):
+                weighted_delta_profile(S, (3, 1, 4), bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        with pytest.raises(ValueError, match="up to 100000000 is over the budget"):
+            delta_set_up_to(S, 10**8)
+
+    def test_budget_counts_elements_up_to_the_bound(self, monkeypatch):
+        monkeypatch.setattr(weighted, "DELTA_PROFILE_BUDGET", 401)
+        S = Semigroup([6, 9, 20])
+        assert delta_set_up_to(S, 400) == (1, 2, 3, 4)
+        with pytest.raises(ValueError, match="up to 401 is over the budget of 401 elements"):
+            delta_set_up_to(S, 401)
 
 
 class TestExchangeExistence:
