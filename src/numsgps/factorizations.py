@@ -3,7 +3,12 @@ presentations.
 
 A factorization of t is an exponent vector z with z . generators = t; all
 functions here bind exponent vectors to ``S.generators`` order.  Components of
-factorization graphs come from one kernel, :func:`_components`.
+factorization graphs come from one kernel, :func:`_components`, which labels
+the generators of a whole batch of elements with numpy.  The Betti search runs
+it over all Apery candidates, a fixed-size chunk at a time, and caches the
+labels of each Betti element; factorization graphs, minimal presentations and
+the presentation verifier read them there, and run the kernel on a batch of one
+at any other element.
 """
 
 from __future__ import annotations
@@ -94,68 +99,96 @@ def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
     return FactorizationGraphSummary(t, tuple(tuple(g) for g in groups.values()))
 
 
-def _components(S: Semigroup, t: int, gens) -> tuple[list[int], ...]:
-    """Components of the factorization graph of an element of S, as lists of
-    the generators their factorizations use, all in reduced units: t and
-    ``gens`` divided by d (t = 0: one empty component).  The order of the
-    components, and of the generators within one, is unspecified.
+# Betti candidates per kernel call, at most (residues are taken whole, k - 1
+# candidates each).  The kernel's temporaries are k x k x BETTI_CHUNK arrays,
+# so a search holds O(BETTI_CHUNK k^2) beyond the residue table at any
+# multiplicity; a typical family member (a few hundred candidates) is one chunk.
+BETTI_CHUNK = 1024
 
-    They are the components of the graph on the available generators, g with
-    t - g in S, where g~h when t - g - h is in S: each support is a clique
-    there, each available g is in some support, and an edge g~h yields a
-    factorization using both.  The graph grows one available generator at a
-    time; adding a vertex merges exactly the components that hold one of its
-    neighbours, so g absorbs each component with some h adjacent to it and
-    the others stay.  Every membership test is one lookup in the residue
-    table, by the rule stated in :meth:`Semigroup.contains`.
+
+def _components(tab, ts, gens):
+    """Component labels of the factorization graphs of the elements ``ts``, a
+    numpy array, all in reduced units: ``gens`` are the reduced generators
+    and ``tab`` is ``Semigroup._residue_array``.  The dtype of ``ts`` must
+    hold every t - g_i - g_j (int64 below 2**63, else object), as that of
+    ``tab`` does for the Betti candidates.  Returns a k x len(ts) array: when some
+    factorization of ts[j] uses gens[i], labels[i, j] is the least index of a
+    generator used in the component holding it, and k otherwise.  Each
+    component has one root, an i with labels[i, j] == i; t = 0 has none (one
+    empty component).
+
+    The components are those of the graph on the available generators, g
+    with t - g in S, where g~h when t - g - h is in S: each support is a
+    clique there, each available g is in some support, and an edge g~h yields
+    a factorization using both.  All memberships are one test, the rule of
+    :meth:`Semigroup.contains` (x >= tab[x % m]) on the k x k x len(ts) array
+    x = t - g_i - g_j, with x = t - g_i on the diagonal: the diagonal is the
+    availability mask, the rest the edge mask (an edge implies both ends are
+    available).  Labels start at each available generator's own index and at
+    k elsewhere; each sweep sets every label to the least over itself and its
+    neighbours.  After s sweeps a label is the least index within s edges.  A
+    component has at most k generators, so any two are joined by a path of
+    at most k - 1 edges, and k - 1 sweeps leave every label at its
+    component's least index.
     """
-    # explicit loops, no comprehensions: tab and m would become closure cells,
-    # slowing every lookup below
-    tab = S._residue_table
-    m = len(tab)
-    comps = []
-    for g in gens:
-        rest = t - g
-        if rest < tab[rest % m]:
-            continue
-        grown = [g]
-        kept = []
-        for comp in comps:
-            for h in comp:
-                x = rest - h
-                if x >= tab[x % m]:
-                    grown = comp + grown
-                    break
-            else:
-                kept.append(comp)
-        kept.append(grown)
-        comps = kept
-    return tuple(comps) or ([],)
+    import numpy as np
+
+    k = len(gens)
+    own = np.arange(k, dtype=np.min_scalar_type(k))
+    g = np.array(gens, dtype=ts.dtype)
+    pairs = g[:, None] + g
+    pairs[own, own] = g
+    x = ts - pairs[:, :, None]
+    edges = x >= tab[(x % len(tab)).astype(np.intp, copy=False)]
+    labels = np.where(edges[own, own], own[:, None], k)
+    for _ in range(k - 1):
+        labels = np.where(edges, labels, k).min(axis=1)
+    return labels
+
+
+def _roots(labels) -> list[int]:
+    """The generator indices that label their own component (one per component)."""
+    return [i for i, label in enumerate(labels) if label == i]
 
 
 def _component_lookup(S: Semigroup, t: int):
-    """(number of components of t, z -> index of the component holding the
-    factorization z): that of any generator in its support, 0 for z = 0."""
-    red = S._reduced
-    comps = _components(S, t // S.d, sorted(red))
-    where = {g: i for i, comp in enumerate(comps) for g in comp}
-    return len(comps), lambda z: next((where[g] for c, g in zip(z, red) if c), 0)
+    """(the roots of t's components, z -> the root of the component holding
+    the factorization z); t = 0 has one empty component, root k.  A Betti
+    element's labels are read from the cache of :func:`_betti_search`; any
+    other t runs the kernel on a batch of one."""
+    labels = S._betti.get(t)
+    if labels is None:
+        import numpy as np
+
+        x, gens = t // S.d, S._reduced
+        ts = np.array([x], dtype=object if x + 2 * max(gens) >= 2**63 else np.int64)
+        labels = _components(S._residue_array, ts, gens)[:, 0].tolist()
+    k = S.k
+    return _roots(labels) or [k], lambda z: next((lab for c, lab in zip(z, labels) if c), k)
 
 
-def _betti_search(S: Semigroup) -> dict[int, int]:
-    """Betti elements of S by component counts over the Apery candidates
-    (see :func:`betti_elements`), in reduced units: Ap(S; g_1) divided by d is
-    the residue table itself."""
-    gens = sorted(S._reduced)
-    others = gens[1:]
-    candidates = sorted({w + g for w in S._residue_table for g in others})
-    d = S.d
-    out: dict[int, int] = {}
-    for t in candidates:
-        comps = len(_components(S, t, gens))
-        if comps > 1:
-            out[d * t] = comps - 1
-    return out
+def _betti_search(S: Semigroup) -> dict[int, tuple[int, ...]]:
+    """Betti elements of S mapped to their component labels (see
+    :func:`betti_elements` and :func:`_components`), ascending.  The
+    candidates w + g, w in the residue table (Ap(S; g_1) divided by d) and g
+    a reduced generator other than the smallest, go through the kernel
+    BETTI_CHUNK at a time.  A repeated candidate repeats its labels, so only
+    the hits are deduplicated and sorted."""
+    import numpy as np
+
+    gens = S._reduced
+    tab = S._residue_array
+    m = len(tab)
+    others = np.array([g for g in gens if g != m], dtype=tab.dtype)[:, None]
+    own = np.arange(S.k)[:, None]
+    step = BETTI_CHUNK // S.k + 1  # residues per chunk, each with k - 1 candidates
+    hits = {}
+    for start in range(0, m, step):
+        ts = (tab[start:start + step] + others).ravel()
+        labels = _components(tab, ts, gens)
+        found = np.flatnonzero((labels == own).sum(axis=0) > 1)
+        hits.update(zip(ts[found].tolist(), map(tuple, labels[:, found].T.tolist())))
+    return {S.d * t: hits[t] for t in sorted(hits)}
 
 
 def betti_elements(S: Semigroup) -> dict[int, int]:
@@ -171,10 +204,11 @@ def betti_elements(S: Semigroup) -> dict[int, int]:
     using both g_i and g_1 would join z to the g_1 component; so b - g_i is in
     Ap(S; g_1).
 
-    The result is computed once per instance and cached on it; each call
-    returns a fresh dict.
+    The search runs once per instance and caches each Betti element's
+    component labels on it; the multiplicities are read from those, into a
+    fresh dict per call.
     """
-    return dict(S._betti)
+    return {b: len(_roots(labels)) - 1 for b, labels in S._betti.items()}
 
 
 def minimal_presentation(S: Semigroup) -> tuple[Relation, ...]:
@@ -232,8 +266,8 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
     for beta, rels in sorted(by_degree.items()):
         if not S.contains(beta):
             raise ValueError(f"{beta} is not an element of {S!r}")
-        n, component = _component_lookup(S, beta)
-        label = list(range(n))
+        roots, component = _component_lookup(S, beta)
+        label = dict(zip(roots, roots))
         for rel in rels:
             if min(rel.left + rel.right) < 0:
                 problems.append(f"relation {rel} uses a vector that does not factor {beta}")
@@ -242,8 +276,9 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
             if a == b:
                 problems.append(f"relation {rel} is redundant (same component of degree {beta})")
             else:
-                label = [a if x == b else x for x in label]
-        merges = n - len(set(label))
+                label = {r: a if x == b else x for r, x in label.items()}
+        n = len(roots)
+        merges = n - len(set(label.values()))
         if merges != n - 1:
             problems.append(
                 f"relations of degree {beta} merge {merges} of {n - 1} needed components"

@@ -317,9 +317,11 @@ def transport_presentation(family: LinearFamily, n: int) -> TransportReport:
 
 @dataclass(frozen=True, slots=True)
 class BettiBijectionReport:
-    """The piecewise map Betti(P_n) -> Betti(P_{n+p}): a Betti element whose
+    """The piecewise map Betti(P_n) -> Betti(P_{n+p}), with delta the family's
+    delta and g the gcd of P_n (and of P_{n+p}): a Betti element whose
     weighted length set is a singleton {lam} moves by lam*p; one with set
-    {lam, lam+d} additionally moves by d*w_1*(w_k*(n+p) + r_k)."""
+    {lam, lam + delta/g} additionally moves by (delta/g)*w_1*(w_k*(n+p) + r_k).
+    g is ``family.instantiate(n).d``."""
 
     n: int
     period: int
@@ -348,14 +350,35 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     """Map each Betti element of P_n per its weighted length set and verify
     the image is exactly Betti(P_{n+p}).
 
+    The shift is that of :func:`phi`.  At n + p each generator grows by
+    w_i p, so a factorization of weighted length lam grows by lam*p; a
+    relation between lengths lam and lam + l maps to the degree of its
+    lighter side plus l*w_1*(w_k*(n+p) + r_k).  On a gcd-1 member the gap l
+    is delta, the family delta.
+
+    On a member of gcd g the gap is delta/g.  Each w_i r_j - w_j r_i equals
+    w_i (w_j n + r_j) - w_j (w_i n + r_i), a multiple of g, so g divides
+    delta and p.  Then g divides every generator w_i (n + p) + r_i of
+    P_{n+p}, and the same argument from n + p back to n shows
+    gcd(P_{n+p}) = g.  Write P_n = g T.  With n_0 = n mod g and
+    r'_i = (w_i n_0 + r_i)/g, T is the member at m = (n - n_0)/g of the
+    family (w, r'), and P_{n+p} = g T' with T' its member at m + p/g.  That
+    family has delta/g as its delta and p/g as its period, and the
+    factorizations of g b in P_n, with their weighted lengths, are those of b
+    in T.  So the identity for T at m, multiplied by g, is the one above
+    with delta/g as the gap: g (b + lam p/g + (delta/g) w_1 (w_k (m + p/g)
+    + r'_k)) = g b + lam p + (delta/g) w_1 (w_k (n + p) + r_k).  Its
+    regime is not carried over; the guarantee is the family's own bound.
+
     A Betti element whose weighted length set is neither {lam} nor
-    {lam, lam+d} is recorded as an anomaly (never happens above the
+    {lam, lam + delta/g} is recorded as an anomaly (never happens above the
     transport bound)."""
     if family.is_degenerate:
         raise ValueError("degenerate family: period zero")
-    d = family_delta(family)
+    delta = family_delta(family)
     p = family.period
     P = family.instantiate(n)
+    gap = delta // P.d
     source = betti_elements(P)
     target = betti_elements(family.instantiate(n + p))
     w1, wk, rk = family.w[0], family.w[-1], family.r[-1]
@@ -366,14 +389,14 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
         lam = lengths[0]
         if len(lengths) == 1:
             mapping.append((beta, beta + int(lam) * p))
-        elif len(lengths) == 2 and lengths[1] - lam == d:
-            mapping.append((beta, beta + int(lam) * p + d * w1 * (wk * (n + p) + rk)))
+        elif len(lengths) == 2 and lengths[1] - lam == gap:
+            mapping.append((beta, beta + int(lam) * p + gap * w1 * (wk * (n + p) + rk)))
         else:
             anomalies.append((beta, lengths))
     return BettiBijectionReport(
         n=n,
         period=p,
-        delta=d,
+        delta=delta,
         transport_bound=family.transport_bound,
         mapping=tuple(mapping),
         source=tuple(source.items()),

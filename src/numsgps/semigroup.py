@@ -141,8 +141,21 @@ class Semigroup:
         return self._apery_table(min(self._reduced))
 
     @cached_property
-    def _betti(self) -> dict[int, int]:
-        """Betti elements with multiplicities, searched once per instance."""
+    def _residue_array(self):
+        """The residue table as a numpy array, for the component kernel: int64
+        while each entry plus twice the largest reduced generator (the Betti
+        candidates w + g and every t - g_i - g_j formed from them) stays below
+        2**63, Python ints (dtype object) beyond."""
+        import numpy as np
+
+        tab = self._residue_table
+        wide = max(tab) + 2 * max(self._reduced) >= 2**63
+        return np.array(tab, dtype=object if wide else np.int64)
+
+    @cached_property
+    def _betti(self) -> dict[int, tuple[int, ...]]:
+        """Betti elements mapped to their component labels, searched once per
+        instance; multiplicities and presentations read them."""
         from .factorizations import _betti_search  # that module imports this one
 
         return _betti_search(self)

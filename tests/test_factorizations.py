@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations
 from math import gcd
 
@@ -243,6 +244,22 @@ class TestBettiElements:
         assert rels[1].right == (0, 0, 3)
         assert verify_minimal_presentation(S, rels) == []
         assert [r.degree for r in minimal_presentation(Semigroup([3 * D, 5 * D]))] == [15 * D]
+
+    def test_search_memory_is_bounded_in_chunks(self):
+        # (k - 1) m = 400,012 candidates: held at once, the kernel's k x k
+        # arrays would take about 29 MB each; in chunks the search holds the
+        # residue table as an int64 array (8 bytes a class) and O(chunk k^2)
+        m = 200_003
+        S = Semigroup([m, m + 6, m + 14])
+        table = S._residue_table  # built outside the trace
+        tracemalloc.start()
+        try:
+            betti_elements(S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == m
+        assert peak < 8 * m + 2**20
 
     def test_fresh_dict_per_call(self):
         S = Semigroup([6, 9, 20])

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import count, islice
 from math import gcd
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from numsgps import (
     verify_minimal_presentation,
     weighted_delta_profile,
 )
+from numsgps.factorizations import _components
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
 small_generators = st.lists(st.integers(2, 15), min_size=1, max_size=4, unique=True)
@@ -98,6 +100,23 @@ def test_betti_elements_match_oracle_under_scaling(gens, scale):
     assert got == brute_betti_elements(S.generators)
     unscaled = betti_elements(Semigroup(gens, keep_order=True))
     assert got == {scale * b: m for b, m in unscaled.items()}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_generators, st.sampled_from([1, 2, 3]))
+@example([9, 6, 10], 3)  # gcd 3, unsorted
+@example([10, 15, 6], 1)  # three components at 30
+def test_cached_component_labels_match_oracle_and_a_fresh_kernel_call(gens, scale):
+    # the Betti search caches the labels of each Betti element, and the
+    # factorization graph reads them: they must give the oracle's components
+    # and equal the labels of the kernel run on that element alone
+    S = Semigroup([scale * g for g in gens], keep_order=True)
+    betti = S._betti
+    table = brute_factorization_table(S.generators, max(betti, default=0))
+    for beta, labels in betti.items():
+        assert factorization_graph(S, beta).components == brute_components(table[beta]), beta
+        fresh = _components(S._residue_array, np.array([beta // S.d]), S._reduced)
+        assert list(labels) == fresh[:, 0].tolist(), beta
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -237,19 +256,18 @@ def linear_families(draw):
     return fam
 
 
-def _proper(gens) -> bool:
-    """Distinct generators with gcd 1."""
-    return len(set(gens)) == len(gens) and gcd(*gens) == 1
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(linear_families())
 @example(LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6)))
 @example(LinearFamily.normalize((3, 1), (0, 4)))  # w_1 > 1
+@example(LinearFamily.normalize((2, 1), (0, 1)))  # gcd 2 at odd n
 def test_transport_and_betti_bijection_hold_above_the_bound(fam):
-    # n = bound + 1 .. bound + 3 where P_n and P_{n+p} are proper numerical semigroups
+    # n = bound + 1 .. bound + 3 where P_n and P_{n+p} have distinct
+    # generators, of any gcd: P_n = g T, and the Betti gap is delta / g
     for n in range(fam.transport_bound + 1, fam.transport_bound + 4):
-        if _proper(fam.generators(n)) and _proper(fam.generators(n + fam.period)):
+        gens, later = fam.generators(n), fam.generators(n + fam.period)
+        if len(set(gens)) == len(gens) and len(set(later)) == len(later):
+            assert gcd(*later) == gcd(*gens), (fam, n)
             assert transport_presentation(fam, n).ok, (fam, n)
             assert betti_bijection(fam, n).is_bijection, (fam, n)
 

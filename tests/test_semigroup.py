@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_members, brute_pseudo_frobenius, random_generators
-from numsgps import Semigroup
+from numsgps import (
+    Relation,
+    Semigroup,
+    betti_elements,
+    minimal_presentation,
+    verify_minimal_presentation,
+)
 from numsgps.semigroup import APERY_TABLE_BUDGET
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -201,17 +207,22 @@ class TestPseudoFrobenius:
         assert found > 3
 
 
+WIDTH_PAIRS = [
+    (2, 2**61 - 1),  # 2 * m * max = 2**63 - 4: the widest int64 table
+    (2, 2**61 + 1),  # 2**63 + 4: just past it
+    (2, 2**62 + 1),  # the Betti search's candidates and edges are past 2**63
+    (3, 10**20 + 1),
+]
+
+
 class TestAperyTableWidth:
     """The Apery table runs on int64 while 2 * m * max(reduced) < 2**63 and on
-    Python ints beyond; both sides of that line must be exact.  The expected
-    values are closed forms, not the library's algorithm."""
+    Python ints beyond, and the Betti search's kernel while
+    max(tab) + 2 * max(reduced) < 2**63; both sides of each line must be
+    exact.  The expected values are closed forms, not the library's
+    algorithm."""
 
-    @pytest.mark.parametrize("a, b", [
-        (2, 2**61 - 1),  # 2 * m * max = 2**63 - 4: the widest int64 table
-        (2, 2**61 + 1),  # 2**63 + 4: just past it
-        (2, 2**62 + 1),
-        (3, 10**20 + 1),
-    ])
+    @pytest.mark.parametrize("a, b", WIDTH_PAIRS)
     @pytest.mark.parametrize("d", [1, 10**15])
     def test_two_generators_match_sylvester(self, a, b, d):
         # <a, b> with gcd(a, b) = 1: F = ab - a - b, g = (a - 1)(b - 1)/2 and
@@ -222,6 +233,17 @@ class TestAperyTableWidth:
         assert sorted(S.apery_set(d * a).elements) == [d * j * b for j in range(a)]
         if d == 1:
             assert S.pseudo_frobenius() == (a * b - a - b,)
+
+    @pytest.mark.parametrize("a, b", WIDTH_PAIRS)
+    @pytest.mark.parametrize("d", [1, 10**15])
+    def test_two_generators_have_one_relation(self, a, b, d):
+        # <a, b> with gcd(a, b) = 1: Z(ab) = {(b, 0), (0, a)} is the only
+        # disconnected graph, so the presentation is that one relation
+        S = Semigroup([d * a, d * b])
+        assert betti_elements(S) == {d * a * b: 1}
+        rels = minimal_presentation(S)
+        assert rels == (Relation((b, 0), (0, a), d * a * b),)
+        assert verify_minimal_presentation(S, rels) == []
 
     @staticmethod
     def four_two_e_closed_form(e):
