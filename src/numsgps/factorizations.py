@@ -109,13 +109,13 @@ BETTI_CHUNK = 1024
 def _components(tab, ts, gens):
     """Component labels of the factorization graphs of the elements ``ts``, a
     numpy array, all in reduced units: ``gens`` are the reduced generators
-    and ``tab`` is ``Semigroup._residue_array``.  The dtype of ``ts`` must
+    and ``tab`` is ``Semigroup._residue_table``.  The dtype of ``ts`` must
     hold every t - g_i - g_j (int64 below 2**63, else object), as that of
-    ``tab`` does for the Betti candidates.  Returns a k x len(ts) array: when some
-    factorization of ts[j] uses gens[i], labels[i, j] is the least index of a
-    generator used in the component holding it, and k otherwise.  Each
-    component has one root, an i with labels[i, j] == i; t = 0 has none (one
-    empty component).
+    ``tab`` does for the Betti candidates (see its width rule).  Returns a
+    k x len(ts) array: when some factorization of ts[j] uses gens[i],
+    labels[i, j] is the least index of a generator used in the component
+    holding it, and k otherwise.  Each component has one root, an i with
+    labels[i, j] == i; t = 0 has none (one empty component).
 
     The components are those of the graph on the available generators, g
     with t - g in S, where g~h when t - g - h is in S: each support is a
@@ -153,16 +153,17 @@ def _roots(labels) -> list[int]:
 
 def _component_lookup(S: Semigroup, t: int):
     """(the roots of t's components, z -> the root of the component holding
-    the factorization z); t = 0 has one empty component, root k.  A Betti
-    element's labels are read from the cache of :func:`_betti_search`; any
-    other t runs the kernel on a batch of one."""
-    labels = S._betti.get(t)
+    the factorization z); t = 0 has one empty component, root k.  Once the
+    Betti search has run, a Betti element's labels are read from its cache;
+    otherwise t runs the kernel on a batch of one, so a graph at one degree
+    never starts the whole search."""
+    labels = vars(S).get("_betti", {}).get(t)
     if labels is None:
         import numpy as np
 
         x, gens = t // S.d, S._reduced
         ts = np.array([x], dtype=object if x + 2 * max(gens) >= 2**63 else np.int64)
-        labels = _components(S._residue_array, ts, gens)[:, 0].tolist()
+        labels = _components(S._residue_table, ts, gens)[:, 0].tolist()
     k = S.k
     return _roots(labels) or [k], lambda z: next((lab for c, lab in zip(z, labels) if c), k)
 
@@ -177,7 +178,7 @@ def _betti_search(S: Semigroup) -> dict[int, tuple[int, ...]]:
     import numpy as np
 
     gens = S._reduced
-    tab = S._residue_array
+    tab = S._residue_table
     m = len(tab)
     others = np.array([g for g in gens if g != m], dtype=tab.dtype)[:, None]
     own = np.arange(S.k)[:, None]

@@ -406,16 +406,13 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
 
 
 def apery_at_multiple(S: Semigroup, n: int) -> AperySet:
-    """Closed-form Apery set of S relative to d*n when d*n exceeds the
-    Frobenius number: position i holds d*i if d*i is an element, else
-    d*i + d*n."""
+    """Apery set of S relative to d*n when d*n exceeds the Frobenius number.
+    It has the closed form: position i holds d*i if d*i is an element, else
+    d*i + d*n, since every multiple of d past the Frobenius number is one."""
     d = S.d
     if d * n <= S.frobenius():
         raise ValueError(f"need d*n > frobenius ({d * n} <= {S.frobenius()})")
-    elements = tuple(
-        d * i if S.contains(d * i) else d * i + d * n for i in range(n)
-    )
-    return AperySet(S, d * n, elements)
+    return S.apery_set(d * n)
 
 
 def _inner_semigroup(family: LinearFamily):

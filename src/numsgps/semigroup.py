@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
 
 # Largest modulus ``Semigroup._apery_table`` accepts, checked before anything is
-# allocated.  A table peaks at about 80 bytes per residue class (the numpy
-# arrays of one pass plus the returned list of Python ints), so a table at the
-# budget peaks near 0.8 GB.
+# allocated.  An int64 table keeps 8 bytes per residue class and peaks at 32
+# while it is built (tracemalloc at m = 10**6: the index, ramp and gathered
+# arrays of one pass beside the table), so a table at the budget peaks near
+# 0.32 GB.
 APERY_TABLE_BUDGET = 10**7
 
 
@@ -87,8 +88,8 @@ class Semigroup:
         new[j] = j a + min(P_j, X + L a), with P_j = min(x_0, ..., x_j) and
         X the minimum of the whole row.  X may be the x_i of some i <= j, but
         then x_i + L a >= x_i >= P_j, so the plain minimum is exact.  The c
-        cycles are the rows of one 2-D index array: one gather, one scan, one
-        scatter per generator.
+        cycles are the rows of one index array (a single row when c = 1): one
+        gather, one scan, one scatter per generator, the rest in place.
 
         Unreached classes hold the sentinel big = m * max(gens): the partial
         sums of a factorization of a least element lie in distinct classes
@@ -114,43 +115,50 @@ class Semigroup:
             if step:
                 cycles = gcd(step, m)
                 length = m // cycles
-                idx = np.arange(0, length * step, step) % m + np.arange(cycles)[:, None]
-                ramp = np.arange(length, dtype=dtype) * a
-                x = tab[idx] - ramp
-                wrap = x.min(axis=1, keepdims=True) + length * a
-                tab[idx] = ramp + np.minimum(np.minimum.accumulate(x, axis=1), wrap)
+                idx = np.arange(0, length * step, step) % m
+                if cycles > 1:
+                    idx = idx + np.arange(cycles)[:, None]
+                ramp = np.arange(0, length * a, a, dtype=dtype)
+                x = tab[idx]
+                x -= ramp
+                wrap = x.min(axis=-1, keepdims=True) + length * a
+                np.minimum.accumulate(x, axis=-1, out=x)
+                np.minimum(x, wrap, out=x)
+                x += ramp
+                tab[idx] = x
+                del idx, ramp, x  # before the next pass allocates its own
             yield tab
 
-    def _apery_table(self, m: int) -> list[int]:
-        """The Apery table modulo m of the reduced semigroup, as Python ints."""
+    def _apery_table(self, m: int):
+        """The Apery table modulo m of the reduced semigroup: the round robin's
+        numpy array (int64, or Python ints past its width rule)."""
         *_, tab = self._round_robin(m, self._reduced)
-        return tab.tolist()
+        return tab
 
     @cached_property
     def _prefix_tables(self) -> tuple[tuple[int, int, int, list[int]], ...]:
         """(position, g_i, e_i, tab_i) per reduced generator g_i, ascending: e_i =
         gcd(g_1, ..., g_i), tab_i the round robin's table modulo g_1 after their
-        passes (sentinel off the multiples of e_i).  Only factorizations() builds them."""
+        passes (sentinel off the multiples of e_i), as Python ints.  The passes
+        stop before the largest generator: after all of them the table is the
+        residue table, whatever their order.  Only factorizations() builds them."""
         gens, order = zip(*sorted(zip(self._reduced, range(self.k))))
-        tables = [tab.tolist() for tab in self._round_robin(gens[0], gens)]
+        passes = islice(self._round_robin(gens[0], gens), self.k - 1)
+        tables = [tab.tolist() for tab in passes] + [self._residue_table.tolist()]
         return tuple(zip(order, gens, accumulate(gens, gcd), tables))
 
     @cached_property
-    def _residue_table(self) -> list[int]:
-        """The Apery table modulo the reduced multiplicity; membership is one lookup."""
+    def _residue_table(self):
+        """The Apery table modulo the reduced multiplicity m, one numpy array:
+        membership is one lookup, the Frobenius number, genus and PF numbers
+        are reductions over it, and the component kernel indexes it.
+
+        Width: the round robin keeps int64 only when 2 m max(reduced) < 2**63.
+        Every entry is at most (m - 1) max(reduced), so that already gives
+        max(tab) + 2 max(reduced) <= 2 m max(reduced) < 2**63, the kernel's
+        condition for the Betti candidates w + g and every t - g_i - g_j
+        formed from them."""
         return self._apery_table(min(self._reduced))
-
-    @cached_property
-    def _residue_array(self):
-        """The residue table as a numpy array, for the component kernel: int64
-        while each entry plus twice the largest reduced generator (the Betti
-        candidates w + g and every t - g_i - g_j formed from them) stays below
-        2**63, Python ints (dtype object) beyond."""
-        import numpy as np
-
-        tab = self._residue_table
-        wide = max(tab) + 2 * max(self._reduced) >= 2**63
-        return np.array(tab, dtype=object if wide else np.int64)
 
     @cached_property
     def _betti(self) -> dict[int, tuple[int, ...]]:
@@ -172,7 +180,7 @@ class Semigroup:
             return False
         t //= self.d
         tab = self._residue_table
-        return t >= tab[t % len(tab)]
+        return t >= tab.item(t % len(tab))
 
     def __contains__(self, t: int) -> bool:
         return self.contains(t)
@@ -191,20 +199,20 @@ class Semigroup:
         tab = self._residue_table
         if m_red != len(tab):
             tab = self._apery_table(m_red)
-        return AperySet(self, m, tuple(x * self.d for x in tab))
+        return AperySet(self, m, tuple(x * self.d for x in tab.tolist()))
 
     def frobenius(self) -> int:
         """Largest multiple of d outside the semigroup; -d when there is none."""
         tab = self._residue_table
-        return self.d * (max(tab) - len(tab))
+        return self.d * (int(tab.max()) - len(tab))
 
     def genus(self) -> int:
         """Number of multiples of d missing from the semigroup: each entry
-        tab[i] = i + q_i m misses the q_i multiples below it in its class, so
-        the genus is (sum(tab) - (0 + 1 + ... + (m - 1))) / m."""
+        tab[i] = i + q_i m, i < m, misses the q_i = tab[i] // m multiples below
+        it in its class.  Each q_i is below max(reduced), so their sum is below
+        m max(reduced), inside the table's own width: int64 sums it exactly."""
         tab = self._residue_table
-        m = len(tab)
-        return (sum(tab) - m * (m - 1) // 2) // m
+        return int((tab // len(tab)).sum())
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique inclusion-minimal generating subset, in generator order.
@@ -227,14 +235,19 @@ class Semigroup:
         m the multiplicity, under w <= b iff b - w is in S; f >= 0 makes PF(<1>)
         empty.  Ap(S; m) is closed downward under that order, so w is not
         maximal exactly when some w + g, g a generator, lies in Ap(S; m): one
-        table lookup per generator.
+        vectorized table lookup per generator.
         """
         if self.d != 1:
             raise ValueError("pseudo-Frobenius numbers require gcd(generators) = 1")
+        import numpy as np
+
         tab = self._residue_table
         m = len(tab)
-        maximal = (w for w in tab if all(tab[(w + g) % m] != w + g for g in self.generators))
-        return tuple(sorted(w - m for w in maximal if w >= m))
+        maximal = tab >= m
+        for g in self.generators:
+            up = tab + g
+            maximal &= tab[(up % m).astype(np.intp, copy=False)] != up
+        return tuple(np.sort(tab[maximal] - m).tolist())
 
     def type(self) -> int:
         """Number of pseudo-Frobenius numbers (gcd 1 only)."""

@@ -71,6 +71,19 @@ class TestFactorizations:
             for t in range(scale * top + 1):
                 assert factorizations(S, t) == tuple(sorted(table[t])), (gs, t)
 
+    @pytest.mark.parametrize("gens", [(4, 6, 9), (9, 4, 6, 10), (20, 9, 6), (7,), (2, 3), (3, 10**20 + 1)])
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_last_prefix_table_is_the_residue_table(self, gens, scale):
+        # the passes stop before the largest generator and reuse the residue
+        # table for the last one; every table equals that of the full round robin
+        S = Semigroup([scale * g for g in gens], keep_order=True)
+        reduced = sorted(S._reduced)
+        full = [tab.tolist() for tab in S._round_robin(reduced[0], reduced)]
+        tables = [tab for _, _, _, tab in S._prefix_tables]
+        assert tables == full
+        assert tables[-1] == S._residue_table.tolist()
+        assert all(type(x) is int for tab in tables for x in tab)
+
     def test_builds_no_semigroup(self, monkeypatch):
         S = Semigroup((9, 4, 6, 10), keep_order=True)
         built = []
@@ -181,6 +194,16 @@ class TestFactorizationGraph:
                 graph = factorization_graph(S, t)
                 assert graph.element == t
                 assert graph.components == brute_components(zs), (S, t)
+            assert "_betti" not in vars(S), S  # no Betti search behind a graph
+
+    def test_graph_at_one_degree_runs_no_betti_search(self):
+        # 30021 = 3 * 10007 is not a Betti element; its graph needs the
+        # kernel on that one element, not the search over 20014 candidates
+        S = Semigroup([10007, 10009, 10037])
+        t = 3 * 10007
+        table = brute_factorization_table(S.generators, t)
+        assert factorization_graph(S, t).components == brute_components(table[t])
+        assert "_betti" not in vars(S)
 
 
 class TestBettiElements:

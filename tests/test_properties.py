@@ -19,6 +19,7 @@ from conftest import (
 from numsgps import (
     LinearFamily,
     Semigroup,
+    apery_at_multiple,
     betti_bijection,
     betti_elements,
     connects_under_relations,
@@ -115,7 +116,7 @@ def test_cached_component_labels_match_oracle_and_a_fresh_kernel_call(gens, scal
     table = brute_factorization_table(S.generators, max(betti, default=0))
     for beta, labels in betti.items():
         assert factorization_graph(S, beta).components == brute_components(table[beta]), beta
-        fresh = _components(S._residue_array, np.array([beta // S.d]), S._reduced)
+        fresh = _components(S._residue_table, np.array([beta // S.d]), S._reduced)
         assert list(labels) == fresh[:, 0].tolist(), beta
 
 
@@ -215,6 +216,42 @@ def test_apery_table_matches_the_plain_loop_at_any_width(case):
     gens, m = case
     S = Semigroup(gens, keep_order=True)
     assert list(S.apery_set(m).elements) == loop_apery_table(gens, m)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_generators())
+def test_table_invariants_match_python_formulas_at_any_width(case):
+    # over the plain loop's Apery table modulo m, in Python ints: F = max - m,
+    # the genus is sum_i (tab[i] - i) / m, PF = {w - m : w maximal, w >= m}
+    gens, m = case
+    S = Semigroup(gens, keep_order=True)
+    tab = loop_apery_table(gens, m)
+    maximal = [w for w in tab if all(tab[(w + g) % m] != w + g for g in gens)]
+    invariants = (S.frobenius(), S.genus(), S.pseudo_frobenius())
+    assert invariants == (
+        max(tab) - m,
+        sum(w - i for i, w in enumerate(tab)) // m,
+        tuple(sorted(w - m for w in maximal if w >= m)),
+    )
+    assert all(type(x) is int for x in invariants[:2] + invariants[2])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_generators, st.sampled_from([1, 2, 3]), st.integers(1, 15))
+@example([2, 3], 1, 1)  # n = F + 1 = 2
+@example([4, 6], 1, 3)  # gcd 2
+def test_apery_at_multiple_matches_the_closed_form(gens, scale, extra):
+    # above the Frobenius number, Ap(S; d n) holds d i if d i is in S and
+    # d i + d n otherwise; membership and F from the reachability oracle
+    S = Semigroup([scale * g for g in gens], keep_order=True)
+    d = S.d
+    reduced = [g // d for g in S.generators]
+    top = min(reduced) * max(reduced)
+    members = brute_members(reduced, top + 15)
+    n = max((t for t in range(top) if t not in members), default=0) + extra
+    closed = tuple(d * i if i in members else d * (i + n) for i in range(n))
+    ap = apery_at_multiple(S, n)
+    assert (ap.base, ap.elements) == (d * n, closed), n
 
 
 @st.composite

@@ -231,8 +231,11 @@ class TestAperyTableWidth:
         assert S.frobenius() == d * (a * b - a - b)
         assert S.genus() == (a - 1) * (b - 1) // 2
         assert sorted(S.apery_set(d * a).elements) == [d * j * b for j in range(a)]
+        # numpy reductions over the table, returned as plain ints (JSON needs them)
+        assert type(S.frobenius()) is int and type(S.genus()) is int
         if d == 1:
             assert S.pseudo_frobenius() == (a * b - a - b,)
+            assert type(S.pseudo_frobenius()[0]) is int
 
     @pytest.mark.parametrize("a, b", WIDTH_PAIRS)
     @pytest.mark.parametrize("d", [1, 10**15])
@@ -292,6 +295,21 @@ class TestAperyTableBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_table_build_holds_one_pass_at_a_time(self):
+        # a pass holds its index, ramp and gathered arrays beside the int64
+        # table, 32 bytes a class; the previous pass's must be gone by then
+        m = 200_003
+        S = Semigroup([m, m + 1, m + 3, m + 7])
+        Semigroup([2, 3]).frobenius()  # numpy is imported outside the trace
+        tracemalloc.start()
+        try:
+            table = S._residue_table
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == m
+        assert peak < 36 * m
 
     def test_apery_set_at_a_huge_base(self):
         S = Semigroup([6, 9, 20])
