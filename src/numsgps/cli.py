@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -382,7 +383,15 @@ def cmd_family_fit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on the first call.
+
+    Each subcommand stores its handler's name, not the function: ``main``
+    looks the name up in this module at call time, so a ``cmd_*`` attribute
+    swapped in after the first build (a tracing wrapper, a test double) is
+    the one that runs.  Parsing leaves no state on the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="numsgps",
         description="Factorization invariants of numerical semigroups and parametrized families.",
@@ -402,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Frobenius, genus, type, Wilf numbers, Apery set")
     p_inv.add_argument("--apery", type=int, metavar="M",
                        help="base element for the Apery set (default: smallest generator)")
-    p_inv.set_defaults(func=cmd_invariants)
+    p_inv.set_defaults(func="cmd_invariants")
 
     p_mp = sub.add_parser("minpres", parents=[gens, fmt],
                           help="canonical minimal presentation with degrees")
-    p_mp.set_defaults(func=cmd_minpres)
+    p_mp.set_defaults(func="cmd_minpres")
 
     p_d = sub.add_parser("delta", parents=[gens, fmt],
                          help="(weighted) delta set: min, max, union over Betti elements")
@@ -414,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rational weights, e.g. 3 1/2 -1 (default: all 1)")
     p_d.add_argument("--max-element", type=int, metavar="N",
                      help="also brute-force the delta sets of all elements <= N")
-    p_d.set_defaults(func=cmd_delta)
+    p_d.set_defaults(func="cmd_delta")
 
     p_f = sub.add_parser("family", help="parametrized family operations")
     p_f.add_argument("--spec", required=True, metavar="FILE",
@@ -430,26 +439,26 @@ def build_parser() -> argparse.ArgumentParser:
         "(multiset values are ';'-joined).",
     )
     p_scan.add_argument("--invariant", required=True, choices=SCAN_INVARIANTS)
-    p_scan.set_defaults(func=cmd_family_scan)
+    p_scan.set_defaults(func="cmd_family_scan")
 
     p_phi = fsub.add_parser("verify-phi", parents=[fmt],
                             help="transport the minimal presentation to n+p and check it")
     p_phi.add_argument("--n", type=int, required=True)
-    p_phi.set_defaults(func=cmd_family_verify_phi)
+    p_phi.set_defaults(func="cmd_family_verify_phi")
 
     p_bb = fsub.add_parser("verify-betti-bijection", parents=[fmt],
                            help="map Betti elements to n+p and compare")
     p_bb.add_argument("--n", type=int, required=True)
-    p_bb.set_defaults(func=cmd_family_verify_betti)
+    p_bb.set_defaults(func="cmd_family_verify_betti")
 
     p_va = fsub.add_parser("verify-apery", parents=[span, fmt],
                            help="closed-form Apery set vs direct computation (--n or --range)")
     p_va.add_argument("--n", type=int)
-    p_va.set_defaults(func=cmd_family_verify_apery)
+    p_va.set_defaults(func="cmd_family_verify_apery")
 
     p_vp = fsub.add_parser("verify-pf", parents=[fmt], help="pseudo-Frobenius transport to n+r_k")
     p_vp.add_argument("--n", type=int, required=True)
-    p_vp.set_defaults(func=cmd_family_verify_pf)
+    p_vp.set_defaults(func="cmd_family_verify_pf")
 
     p_fit = fsub.add_parser(
         "fit",
@@ -465,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--period", type=int, required=True)
     p_fit.add_argument("--from", dest="from_scan", metavar="FILE",
                        help="read scan output instead of scanning (- for stdin)")
-    p_fit.set_defaults(func=cmd_family_fit)
+    p_fit.set_defaults(func="cmd_family_fit")
 
     return parser
 
@@ -478,7 +487,7 @@ def main(argv=None) -> int:
             return EXIT_ERROR
         raise  # --help
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -24,6 +24,12 @@ from .semigroup import Semigroup
 # it allocates one mask per element; masks grow with t, so unit weights on
 # <6, 9, 20> at the budget hold about 0.1 GB.
 DELTA_PROFILE_BUDGET = 10**5
+# Most bits the widest of those masks may need, depth * (max(iw, 0) - min(iw, 0))
+# for at most depth generators per factorization, checked before allocating.
+# Unit weights never exceed it (depth <= bound + 1), so at both budgets the
+# masks hold at most about 10**10 / 2 bits (0.6 GB), as unit weights on a
+# semigroup containing 1 already may.
+DELTA_MASK_BUDGET = 10**5
 
 
 def rational_gcd(values) -> Fraction:
@@ -264,6 +270,12 @@ def weighted_delta_profile(S: Semigroup, w, bound: int) -> dict[int, tuple[Fract
     gens = S.generators
     d = S.d
     depth = bound // min(gens) + 1
+    width = depth * (max(max(iw), 0) - min(min(iw), 0))
+    if width > DELTA_MASK_BUDGET:
+        raise ValueError(
+            f"a delta profile up to {bound} with integer weights {tuple(iw)} needs "
+            f"masks of {width} bits, over the budget of {DELTA_MASK_BUDGET} bits"
+        )
     offset = max(0, -min(iw)) * depth
     masks = [0] * (bound + 1)
     if bound >= 0:

@@ -7,13 +7,23 @@ from pathlib import Path
 import pytest
 
 from numsgps import cli
-from numsgps.weighted import DELTA_PROFILE_BUDGET
+from numsgps.weighted import DELTA_MASK_BUDGET, DELTA_PROFILE_BUDGET
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fresh_process(argv):
+    """(exit status, stdout, stderr) of ``python -m numsgps.cli`` in a new
+    interpreter on this checkout's sources."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "numsgps.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestInvariants:
@@ -116,6 +126,15 @@ class TestDelta:
         assert err == (
             "error: a delta profile up to 100000000 is over the budget of "
             f"{DELTA_PROFILE_BUDGET} elements\n"
+        )
+
+    def test_weight_span_over_budget(self, capsys):
+        code, out, err = run(capsys, "delta", "6", "9", "20", "--weights", "1", "1", "1000000000",
+                             "--max-element", "400")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: a delta profile up to 400 with integer weights (1, 1, 1000000000) needs "
+            f"masks of 67000000000 bits, over the budget of {DELTA_MASK_BUDGET} bits\n"
         )
 
     def test_max_element_zero(self, capsys):
@@ -460,11 +479,8 @@ class TestUsageErrors:
 
     def test_exit_status_of_the_command(self, spec_file):
         spec = spec_file({"w": [1, 1], "r": [0, 2]})
-        src = Path(cli.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
         codes = [
-            subprocess.run([sys.executable, "-m", "numsgps.cli", *argv],
-                           capture_output=True, env=env, check=False).returncode
+            fresh_process(argv)[0]
             for argv in (["family", "--spec", spec, "verify-pf"], ["--help"])
         ]
         assert codes == [1, 0]
@@ -484,3 +500,45 @@ class TestDeterminism:
         assert out1 == out2
         doc = json.loads(out1)
         assert json.dumps(doc) == json.dumps(json.loads(out2))
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; no call may leave state
+    behind that changes the next one."""
+
+    def test_same_parser_every_call(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+        calls = [
+            ["invariants", "6", "9", "--json", "--csv"],
+            ["delta", "--help"],
+            ["delta", "6", "9", "20", "--weights", "3", "1", "4", "--json"],
+            ["delta", "6", "9", "20", "--json"],
+        ]
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == fresh_process(argv), argv
+        assert json.loads(out.out)["weights"] == ["1", "1", "1"]
+
+    def test_handler_is_looked_up_at_call_time(self, capsys, spec_file, monkeypatch):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        argv = ["family", "--spec", spec, "scan", "--invariant", "genus", "--range", "5", "7"]
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        seen = []
+        original = cli.cmd_family_scan
+
+        def recording(args):
+            seen.append(args.invariant)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_family_scan", recording)
+        code, second, _ = run(capsys, *argv)
+        assert (code, second) == (0, first)
+        assert seen == ["genus"]

@@ -124,6 +124,14 @@ def test_cli_output_frozen(tmp_path, case, spec, argv):
     assert run_cli(tmp_path, spec, argv) == _golden()["cli"][case]
 
 
+def test_cli_outputs_back_to_back_in_reverse(tmp_path):
+    """All cases in one process, last first: the parser ``main`` reuses
+    carries nothing from one call to the next."""
+    golden = _golden()["cli"]
+    for case, spec, argv in reversed(CASES):
+        assert run_cli(tmp_path, spec, argv) == golden[case], case
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_output_frozen(tmp_path, name):
     assert run_demo(name, tmp_path) == _golden()["demos"][name]

@@ -25,7 +25,7 @@ from numsgps import (
     weighted_length_set,
 )
 from numsgps import weighted
-from numsgps.weighted import DELTA_PROFILE_BUDGET
+from numsgps.weighted import DELTA_MASK_BUDGET, DELTA_PROFILE_BUDGET
 
 
 class TestWeightedLength:
@@ -227,6 +227,36 @@ class TestDeltaProfileBudget:
         assert delta_set_up_to(S, 400) == (1, 2, 3, 4)
         with pytest.raises(ValueError, match="up to 401 is over the budget of 401 elements"):
             delta_set_up_to(S, 401)
+
+    def test_weight_span_over_budget_raises_before_allocating(self):
+        S = Semigroup([6, 9, 20])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                r"up to 400 with integer weights \(1, 1, 1000000000\) needs masks of "
+                f"67000000000 bits, over the budget of {DELTA_MASK_BUDGET} bits"
+            )):
+                weighted_delta_profile(S, (1, 1, 10**9), 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_mask_budget_counts_both_signs_of_the_scaled_weights(self, monkeypatch):
+        # depth 400 // 6 + 1 = 67; weights 1/2, 1, -1 scale to 1, 2, -2: 67 * 4 bits
+        S = Semigroup([6, 9, 20])
+        w = (Fraction(1, 2), 1, -1)
+        expected = weighted_delta_profile(S, w, 400)
+        monkeypatch.setattr(weighted, "DELTA_MASK_BUDGET", 268)
+        assert weighted_delta_profile(S, w, 400) == expected
+        monkeypatch.setattr(weighted, "DELTA_MASK_BUDGET", 267)
+        with pytest.raises(ValueError, match="needs masks of 268 bits, over the budget of 267 bits"):
+            weighted_delta_profile(S, w, 400)
+
+    def test_unit_weights_stay_within_a_mask_budget_of_the_element_budget(self, monkeypatch):
+        monkeypatch.setattr(weighted, "DELTA_PROFILE_BUDGET", 401)
+        monkeypatch.setattr(weighted, "DELTA_MASK_BUDGET", 401)
+        assert delta_set_up_to(Semigroup([1, 3]), 400) == (2,)
 
 
 class TestExchangeExistence:
