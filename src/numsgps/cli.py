@@ -65,26 +65,19 @@ def _emit(payload: dict, rows, args) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for key, value in rows:
-            writer.writerow([key, _csv_cell(value)])
+            writer.writerow([key, _cell(value, ";", None)])
         sys.stdout.write(buf.getvalue())
         return
     width = max((len(str(k)) for k, _ in rows), default=0)
     for key, value in rows:
-        print(f"{str(key):<{width}}  {_human_cell(value)}")
+        print(f"{str(key):<{width}}  {_cell(value, ' ', '-')}")
 
 
-def _csv_cell(value):
+def _cell(value, sep: str, none):
+    """A table cell: lists joined by sep, None shown as none."""
     if isinstance(value, (list, tuple)):
-        return ";".join(str(_csv_cell(v)) for v in value)
-    return value
-
-
-def _human_cell(value):
-    if isinstance(value, (list, tuple)):
-        return " ".join(str(_human_cell(v)) for v in value)
-    if value is None:
-        return "-"
-    return value
+        return sep.join(str(_cell(v, sep, none)) for v in value)
+    return none if value is None else value
 
 
 def _relation_row(rel):

@@ -19,7 +19,7 @@ from .factorizations import (
     verify_minimal_presentation,
 )
 from .semigroup import AperySet, Semigroup
-from .weighted import weighted_extreme_tables, weighted_length_set
+from .weighted import _extremes, _lengths
 
 
 class VerificationError(RuntimeError):
@@ -238,23 +238,14 @@ def phi(family: LinearFamily, n: int, rel: Relation) -> Relation:
     gens = family.generators(n)
     if _dot(rel.left, gens) != _dot(rel.right, gens):
         raise ValueError(f"{rel} is not a relation of the member at n={n}")
-    lw = _dot(rel.left, family.w)
-    rw = _dot(rel.right, family.w)
+    lw, rw = _dot(rel.left, family.w), _dot(rel.right, family.w)
     ell = abs(lw - rw)
-    w1, wk = family.w[0], family.w[-1]
-    k = family.k
-
-    def bump(z, pos, amount):
-        out = list(z)
-        out[pos] += amount
-        return tuple(out)
-
-    if lw > rw:
-        left, right = bump(rel.left, 0, ell * wk), bump(rel.right, k - 1, ell * w1)
-    elif lw < rw:
-        left, right = bump(rel.left, k - 1, ell * w1), bump(rel.right, 0, ell * wk)
-    else:
-        left, right = rel.left, rel.right
+    left, right = list(rel.left), list(rel.right)
+    heavy, light = (left, right) if lw > rw else (right, left)
+    heavy[0] += ell * family.w[-1]
+    light[-1] += ell * family.w[0]
+    # equal lengths keep their vectors, which a report then shares with its source
+    left, right = (tuple(left), tuple(right)) if ell else (rel.left, rel.right)
     gens2 = family.generators(n + family.period)
     dl, dr = _dot(left, gens2), _dot(right, gens2)
     if dl != dr:
@@ -385,14 +376,12 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     mapping = []
     anomalies = []
     for beta in source:
-        lengths = weighted_length_set(P, beta, family.w)
-        lam = lengths[0]
-        if len(lengths) == 1:
-            mapping.append((beta, beta + int(lam) * p))
-        elif len(lengths) == 2 and lengths[1] - lam == gap:
-            mapping.append((beta, beta + int(lam) * p + gap * w1 * (wk * (n + p) + rk)))
+        lengths = _lengths(P, beta, family.w)
+        spread = lengths[-1] - lengths[0]  # 0 or gap when the set is {lam} or {lam, lam + gap}
+        if len(lengths) <= 2 and spread in (0, gap):
+            mapping.append((beta, beta + lengths[0] * p + spread * w1 * (wk * (n + p) + rk)))
         else:
-            anomalies.append((beta, lengths))
+            anomalies.append((beta, tuple(map(Fraction, lengths))))
     return BettiBijectionReport(
         n=n,
         period=p,
@@ -466,23 +455,20 @@ def verify_fast_apery(family: LinearFamily, n: int) -> FastAperyCheck:
             f"Apery set at n has fewer than n elements"
         )
     ap = apery_at_multiple(S, n)
-    _, lo = weighted_extreme_tables(S, ws, ap.max_element())
+    _, lo = _extremes(S, ws, ap.max_element())
     P = family.instantiate(n)
+    min_lengths = {a + lo[a] * n: lo[a] for a in ap.elements}
     elements: list[int | None] = [None] * n
-    min_lengths: dict[int, int] = {}
-    for a in ap.elements:
-        mw = lo[a]
-        e = a + int(mw) * n
+    for e in min_lengths:
         elements[e % n] = e
-        min_lengths[e] = int(mw)
     if any(e is None for e in elements):
         raise VerificationError("mapped Apery elements collide modulo n")
     direct = P.apery_set(n)
     failures = []
     for e, mw in sorted(min_lengths.items()):
-        lengths = weighted_length_set(P, e, family.w)
-        if lengths != (Fraction(mw),):
-            failures.append((e, lengths))
+        lengths = _lengths(P, e, family.w)
+        if lengths != [mw]:
+            failures.append((e, tuple(map(Fraction, lengths))))
     return FastAperyCheck(
         n=n,
         apery_bound=family.apery_bound,

@@ -116,17 +116,14 @@ def fit(samples, period: int, degree: int):
     thresholds = []
     for s, pts in sorted(classes.items()):
         poly, largest_bad = _anchor(pts, degree)
-        if largest_bad is None:
-            thresholds.append(pts[0][0])
-        else:
-            good = [n for n, _ in pts if n > largest_bad]
-            if len(good) < degree + 2:
-                return FitMismatch(
-                    largest_bad,
-                    f"sample at n={largest_bad} disagrees with the tail fit and only "
-                    f"{len(good)} samples remain above it (need {degree + 2})",
-                )
-            thresholds.append(good[0])
+        good = [n for n, _ in pts if largest_bad is None or n > largest_bad]
+        if len(good) < degree + 2:
+            return FitMismatch(
+                largest_bad,
+                f"sample at n={largest_bad} disagrees with the tail fit and only "
+                f"{len(good)} samples remain above it (need {degree + 2})",
+            )
+        thresholds.append(good[0])
         columns[s] = poly + [Fraction(0)] * (degree + 1 - len(poly))
 
     n_min = max(thresholds)

@@ -21,6 +21,10 @@ from math import gcd
 # arrays of one pass beside the table), so a table at the budget peaks near
 # 0.32 GB.
 APERY_TABLE_BUDGET = 10**7
+# Most multiples of d (bound // d + 1) ``Semigroup.elements_up_to`` accepts,
+# checked before the list is built: about 40 bytes an element, a list slot and
+# an int (tracemalloc at 4 * 10**5), so 0.4 GB at the budget.
+ELEMENTS_BUDGET = 10**7
 
 
 class Semigroup:
@@ -187,6 +191,11 @@ class Semigroup:
 
     def elements_up_to(self, bound: int) -> list[int]:
         """All semigroup elements <= bound, ascending."""
+        if bound // self.d + 1 > ELEMENTS_BUDGET:
+            raise ValueError(
+                f"elements up to {bound} are over the budget of {ELEMENTS_BUDGET} "
+                f"multiples of {self.d}"
+            )
         return [t for t in range(0, bound + 1, self.d) if self.contains(t)]
 
     def apery_set(self, m: int) -> "AperySet":

@@ -30,6 +30,10 @@ DELTA_PROFILE_BUDGET = 10**5
 # masks hold at most about 10**10 / 2 bits (0.6 GB), as unit weights on a
 # semigroup containing 1 already may.
 DELTA_MASK_BUDGET = 10**5
+# Most entries (limit + 1) of the extreme length tables, checked before they
+# are allocated: about 80 bytes an entry as ints and 256 as the Fractions of
+# ``weighted_extreme_tables`` (tracemalloc at 4 * 10**5), 0.26 GB at the budget.
+EXTREME_TABLE_BUDGET = 10**6
 
 
 def rational_gcd(values) -> Fraction:
@@ -169,19 +173,21 @@ def max_delta_w(S: Semigroup, w):
     return Fraction(max(gaps), den)
 
 
-def weighted_extreme_tables(S: Semigroup, w, limit: int):
-    """DP tables of the max and min weighted length for every element
-    0..limit; None at non-elements.  Returns (max_table, min_table)."""
-    _, iw, den = _scaled(S, w)
-    gens = S.generators
-    d = S.d
+def _extremes(S: Semigroup, iw, limit: int) -> tuple[list, list]:
+    """DP tables of the max and min integer length z . iw for every element
+    0..limit; None at non-elements."""
+    if limit + 1 > EXTREME_TABLE_BUDGET:
+        raise ValueError(
+            f"extreme length tables up to {limit} are over the budget of "
+            f"{EXTREME_TABLE_BUDGET} entries"
+        )
     hi: list[int | None] = [None] * (limit + 1)
     lo: list[int | None] = [None] * (limit + 1)
     if limit >= 0:
         hi[0] = lo[0] = 0
-    for t in range(d, limit + 1, d):
+    for t in range(S.d, limit + 1, S.d):
         best_hi = best_lo = None
-        for g, wi in zip(gens, iw):
+        for g, wi in zip(S.generators, iw):
             if t >= g and hi[t - g] is not None:
                 cand = hi[t - g] + wi
                 if best_hi is None or cand > best_hi:
@@ -191,7 +197,15 @@ def weighted_extreme_tables(S: Semigroup, w, limit: int):
                     best_lo = cand
         hi[t] = best_hi
         lo[t] = best_lo
+    return hi, lo
+
+
+def weighted_extreme_tables(S: Semigroup, w, limit: int):
+    """DP tables of the max and min weighted length for every element
+    0..limit; None at non-elements.  Returns (max_table, min_table)."""
+    _, iw, den = _scaled(S, w)
     conv = lambda v: None if v is None else Fraction(v, den)
+    hi, lo = _extremes(S, iw, limit)
     return [conv(v) for v in hi], [conv(v) for v in lo]
 
 
@@ -222,16 +236,16 @@ def verify_weighted_recurrences(S: Semigroup, w, horizon: int) -> WeightedRecurr
     Failures must all lie at or below the largest generator squared; the scan
     raises if one appears beyond it.
     """
-    ws, _, _ = _scaled(S, w)
+    ws, iw, _ = _scaled(S, w)
     threshold = max(S.generators) ** 2
     if horizon <= threshold:
         raise ValueError(f"horizon {horizon} must exceed {threshold} (largest generator squared)")
     order = w_ordering(S, ws)
-    hi, lo = weighted_extreme_tables(S, ws, horizon)
+    hi, lo = _extremes(S, iw, horizon)
 
     def scan(table, idx) -> RecurrenceCheck:
         g = S.generators[idx]
-        wt = ws[idx]
+        wt = iw[idx]
         largest = None
         for t in range(0, horizon + 1, S.d):
             if table[t] is None:
@@ -243,7 +257,7 @@ def verify_weighted_recurrences(S: Semigroup, w, horizon: int) -> WeightedRecurr
             raise RuntimeError(
                 f"recurrence with step {g} fails at {largest} > {threshold}"
             )
-        return RecurrenceCheck(g, wt, largest, 0 if largest is None else largest + 1)
+        return RecurrenceCheck(g, ws[idx], largest, 0 if largest is None else largest + 1)
 
     return WeightedRecurrenceReport(
         horizon=horizon,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from numsgps import cli
-from numsgps.weighted import DELTA_MASK_BUDGET, DELTA_PROFILE_BUDGET
+from numsgps.weighted import DELTA_MASK_BUDGET, DELTA_PROFILE_BUDGET, EXTREME_TABLE_BUDGET
 
 
 def run(capsys, *argv):
@@ -202,6 +202,17 @@ class TestFamily:
         doc = json.loads(out)
         assert code == 0
         assert all(row["ok"] for row in doc["results"])
+
+    def test_verify_apery_over_the_extreme_table_budget(self, capsys, spec_file):
+        # the inner semigroup <1, 6> has Ap(<1, 6>; n) = {0, ..., n - 1}
+        spec = spec_file({"w": [1, 1, 1], "r": [0, 1, 6]})
+        n = EXTREME_TABLE_BUDGET + 1
+        code, out, err = run(capsys, "family", "--spec", spec, "verify-apery", "--n", str(n))
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: extreme length tables up to {n - 1} are over the budget of "
+            f"{EXTREME_TABLE_BUDGET} entries\n"
+        )
 
     def test_verify_pf(self, capsys, spec_file):
         spec = spec_file({"w": [1, 1, 1], "r": [0, 4, 6]})

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 import threading
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -28,6 +29,7 @@ from numsgps import (
     verify_fast_apery,
     weighted_delta_union_up_to,
 )
+from numsgps import weighted
 
 
 EX53 = LinearFamily.normalize((3, 4, 6, 9), (1, 2, 4, 6))
@@ -265,6 +267,26 @@ class TestPhi:
         out3 = phi(EX53, 506, rel3)
         assert (out3.left, out3.right) == ((517, 0, 0, 0), (0, 2, 2, 170))
 
+    def test_swapping_sides_swaps_the_image(self):
+        # covers both strict orders of the weighted lengths and the equal case
+        seen = set()
+        for n in (3, 4, 9):
+            P = SMALL.instantiate(n)
+            for t in P.elements_up_to(40):
+                zs = factorizations(P, t)
+                for a in zs:
+                    for b in zs:
+                        if a == b:
+                            continue
+                        out = phi(SMALL, n, Relation(a, b, t))
+                        swapped = phi(SMALL, n, Relation(b, a, t))
+                        assert (swapped.left, swapped.right) == (out.right, out.left)
+                        order = (sum(a) > sum(b)) - (sum(a) < sum(b))  # SMALL has w = (1, 1, 1)
+                        seen.add(order)
+                        if order == 0:  # the image shares its vectors with the source
+                            assert out.left is a and out.right is b
+        assert seen == {-1, 0, 1}
+
     def test_rejects_unbalanced_pairs(self):
         with pytest.raises(ValueError):
             phi(EX53, 506, Relation((1, 0, 0, 0), (0, 1, 0, 0), 0))
@@ -313,6 +335,14 @@ class TestBettiBijection:
         assert dict(rep.source) == {12: 1, 20: 1, 21: 1}
         assert dict(rep.target) == {16: 1, 35: 1, 36: 1}
         assert dict(rep.mapping) == {12: 16, 20: 35, 21: 36}
+
+    def test_anomaly_below_the_bound(self):
+        # transport bound 108; Betti element 21 has weighted lengths {3, 5}, a gap of 2
+        rep = betti_bijection(LinearFamily.normalize((2, 3, 2, 1), (0, 1, 3, 3)), 4)
+        assert rep.delta == 1 and not rep.in_guaranteed_regime
+        assert rep.anomalies[0] == (21, (Fraction(3), Fraction(5)))
+        assert all(type(x) is Fraction for x in rep.anomalies[0][1])
+        assert not rep.is_bijection
 
     def test_singleton_branch_moves_linearly(self):
         rep = betti_bijection(SMALL, 6)
@@ -417,6 +447,22 @@ class TestFastApery:
         fam = LinearFamily.normalize((1, 1, 1), (0, 4, 6))
         chk = verify_fast_apery(fam, 37)
         assert chk.in_guaranteed_regime and chk.ok
+
+    def test_singleton_failure_below_the_bound(self):
+        fam = LinearFamily.normalize((1, 1, 1), (0, 1, 6))  # apery bound 36
+        chk = verify_fast_apery(fam, 7)
+        assert not chk.in_guaranteed_regime and not chk.matches
+        assert chk.singleton_failures == ((40, (Fraction(4), Fraction(5))),)
+        assert all(type(x) is Fraction for x in chk.singleton_failures[0][1])
+
+    def test_extreme_table_budget(self, monkeypatch):
+        fam = LinearFamily.normalize((1, 1, 1), (0, 4, 6))
+        limit = apery_at_multiple(Semigroup([4, 6]), 37).max_element()
+        monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit + 1)
+        assert verify_fast_apery(fam, 37).ok
+        monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit)
+        with pytest.raises(ValueError, match=f"up to {limit} are over the budget of {limit} entries"):
+            verify_fast_apery(fam, 37)
 
     def test_rejects_non_unit_first_weight(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ from numsgps import (
     minimal_presentation,
     verify_minimal_presentation,
 )
-from numsgps.semigroup import APERY_TABLE_BUDGET
+from numsgps import semigroup
+from numsgps.semigroup import APERY_TABLE_BUDGET, ELEMENTS_BUDGET
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -323,6 +324,30 @@ class TestAperyTableBudget:
         S = Semigroup([1000 * d, 1001 * d])
         assert S.multiplicity > APERY_TABLE_BUDGET
         assert S.frobenius() == d * (1000 * 1001 - 1000 - 1001)
+
+
+class TestElementsBudget:
+    def test_over_budget_raises_before_allocating(self):
+        S = Semigroup([6, 9, 20])
+        bound = ELEMENTS_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                f"up to {bound} are over the budget of {ELEMENTS_BUDGET} multiples of 1"
+            )):
+                S.elements_up_to(bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_budget_counts_multiples_of_the_gcd(self, monkeypatch):
+        # <4, 6> has gcd 2: 0, 2, ..., 100 are 51 multiples
+        monkeypatch.setattr(semigroup, "ELEMENTS_BUDGET", 51)
+        S = Semigroup([4, 6])
+        assert S.elements_up_to(101) == [0, *range(4, 101, 2)]
+        with pytest.raises(ValueError, match="up to 102 are over the budget of 51 multiples of 2"):
+            S.elements_up_to(102)
 
 
 def test_import_leaves_numpy_unloaded():

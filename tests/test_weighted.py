@@ -25,7 +25,7 @@ from numsgps import (
     weighted_length_set,
 )
 from numsgps import weighted
-from numsgps.weighted import DELTA_MASK_BUDGET, DELTA_PROFILE_BUDGET
+from numsgps.weighted import DELTA_MASK_BUDGET, DELTA_PROFILE_BUDGET, EXTREME_TABLE_BUDGET
 
 
 class TestWeightedLength:
@@ -257,6 +257,34 @@ class TestDeltaProfileBudget:
         monkeypatch.setattr(weighted, "DELTA_PROFILE_BUDGET", 401)
         monkeypatch.setattr(weighted, "DELTA_MASK_BUDGET", 401)
         assert delta_set_up_to(Semigroup([1, 3]), 400) == (2,)
+
+
+class TestExtremeTableBudget:
+    def test_over_budget_raises_before_allocating(self):
+        S = Semigroup([6, 9, 20])
+        limit = EXTREME_TABLE_BUDGET
+        message = f"up to {limit} are over the budget of {EXTREME_TABLE_BUDGET} entries"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                weighted_extreme_tables(S, (3, 1, 4), limit)
+            with pytest.raises(ValueError, match=message):
+                verify_weighted_recurrences(S, (Fraction(1, 2), 1, 4), limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_budget_counts_entries_up_to_the_limit(self, monkeypatch):
+        S = Semigroup([6, 9, 20])
+        w = (3, 1, 4)
+        tables = weighted_extreme_tables(S, w, 600)
+        report = verify_weighted_recurrences(S, w, 600)
+        monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", 601)
+        assert weighted_extreme_tables(S, w, 600) == tables
+        assert verify_weighted_recurrences(S, w, 600) == report
+        with pytest.raises(ValueError, match="up to 601 are over the budget of 601 entries"):
+            weighted_extreme_tables(S, w, 601)
 
 
 class TestExchangeExistence:
