@@ -19,7 +19,7 @@ from .factorizations import (
     verify_minimal_presentation,
 )
 from .semigroup import AperySet, Semigroup
-from .weighted import _extremes, _lengths
+from .weighted import _check_extremes_budget, _extremes, _lengths
 
 
 class VerificationError(RuntimeError):
@@ -454,6 +454,9 @@ def verify_fast_apery(family: LinearFamily, n: int) -> FastAperyCheck:
             f"gcd(n, {d}) must be 1: the member at n={n} has gcd {gcd(n, d)} and its "
             f"Apery set at n has fewer than n elements"
         )
+    # the n elements of Ap(S; dn) are multiples of d distinct mod dn, so the
+    # largest, the tables' limit, is at least d (n - 1): check that first
+    _check_extremes_budget(d * (n - 1))
     ap = apery_at_multiple(S, n)
     _, lo = _extremes(S, ws, ap.max_element())
     P = family.instantiate(n)

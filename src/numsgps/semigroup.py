@@ -95,6 +95,17 @@ class Semigroup:
         cycles are the rows of one index array (a single row when c = 1): one
         gather, one scan, one scatter per generator, the rest in place.
 
+        The first pass with a step (a % m != 0) has a closed form: the passes
+        before it add multiples of m and move nothing, so it meets a fresh
+        table, finite only at tab[0] = 0.  On the cycle
+        through 0, x_0 = 0 and x_i = big - i a > 0 for 0 < i < L (big >= m a),
+        so P_j = 0, X + L a > 0 and new[j] = j a; on every other cycle
+        x_i = big - i a, so new[j] = j a + min(big - j a, big + a) = big
+        stays.  That pass is one scatter of the ramp j a onto the cycle
+        through 0.  The cycle positions x = j step are reduced mod m as
+        x - (x // m) m, equal to x % m for x >= 0: numpy's integer floor
+        division by a scalar is faster than its remainder.
+
         Unreached classes hold the sentinel big = m * max(gens): the partial
         sums of a factorization of a least element lie in distinct classes
         (cutting out the part between two in one class leaves a smaller
@@ -114,23 +125,30 @@ class Semigroup:
         dtype = np.int64 if 2 * big < 2**63 else object
         tab = np.full(m, big, dtype=dtype)
         tab[0] = 0
+        fresh = True  # no pass has moved the table yet
         for a in gens:
             step = a % m
             if step:
                 cycles = gcd(step, m)
                 length = m // cycles
-                idx = np.arange(0, length * step, step) % m
-                if cycles > 1:
-                    idx = idx + np.arange(cycles)[:, None]
+                idx = np.arange(0, length * step, step)
+                idx -= idx // m * m  # idx % m
                 ramp = np.arange(0, length * a, a, dtype=dtype)
-                x = tab[idx]
-                x -= ramp
-                wrap = x.min(axis=-1, keepdims=True) + length * a
-                np.minimum.accumulate(x, axis=-1, out=x)
-                np.minimum(x, wrap, out=x)
-                x += ramp
-                tab[idx] = x
-                del idx, ramp, x  # before the next pass allocates its own
+                if fresh:
+                    tab[idx] = ramp
+                    fresh = False
+                else:
+                    if cycles > 1:
+                        idx = idx + np.arange(cycles)[:, None]
+                    x = tab[idx]
+                    x -= ramp
+                    wrap = x.min(axis=-1, keepdims=True) + length * a
+                    np.minimum.accumulate(x, axis=-1, out=x)
+                    np.minimum(x, wrap, out=x)
+                    x += ramp
+                    tab[idx] = x
+                    del x
+                del idx, ramp  # before the next pass allocates its own
             yield tab
 
     def _apery_table(self, m: int):
@@ -243,8 +261,10 @@ class Semigroup:
         Only defined for gcd 1.  Computed as {w - m : w maximal in Ap(S; m)},
         m the multiplicity, under w <= b iff b - w is in S; f >= 0 makes PF(<1>)
         empty.  Ap(S; m) is closed downward under that order, so w is not
-        maximal exactly when some w + g, g a generator, lies in Ap(S; m): one
-        vectorized table lookup per generator.
+        maximal exactly when some w + g, g a generator, lies in Ap(S; m).
+        At gcd 1 every entry has tab[rho] = rho (mod m), so w + g falls in
+        class rho + g and its lookup is the table rotated left by g mod m:
+        one rotation per generator.
         """
         if self.d != 1:
             raise ValueError("pseudo-Frobenius numbers require gcd(generators) = 1")
@@ -254,8 +274,7 @@ class Semigroup:
         m = len(tab)
         maximal = tab >= m
         for g in self.generators:
-            up = tab + g
-            maximal &= tab[(up % m).astype(np.intp, copy=False)] != up
+            maximal &= np.roll(tab, -(g % m)) != tab + g
         return tuple(np.sort(tab[maximal] - m).tolist())
 
     def type(self) -> int:

@@ -173,14 +173,19 @@ def max_delta_w(S: Semigroup, w):
     return Fraction(max(gaps), den)
 
 
-def _extremes(S: Semigroup, iw, limit: int) -> tuple[list, list]:
-    """DP tables of the max and min integer length z . iw for every element
-    0..limit; None at non-elements."""
+def _check_extremes_budget(limit: int) -> None:
+    """Raise before tables up to limit are allocated over the budget."""
     if limit + 1 > EXTREME_TABLE_BUDGET:
         raise ValueError(
             f"extreme length tables up to {limit} are over the budget of "
             f"{EXTREME_TABLE_BUDGET} entries"
         )
+
+
+def _extremes(S: Semigroup, iw, limit: int) -> tuple[list, list]:
+    """DP tables of the max and min integer length z . iw for every element
+    0..limit; None at non-elements."""
+    _check_extremes_budget(limit)
     hi: list[int | None] = [None] * (limit + 1)
     lo: list[int | None] = [None] * (limit + 1)
     if limit >= 0:

@@ -163,3 +163,14 @@ def loop_apery_table(gens, m):
                 else:
                     v = tab[r]
     return tab
+
+
+def loop_round_robin(gens, m):
+    """The tables of the round robin modulo m after each prefix of gens, by
+    loop_apery_table, with the classes a prefix leaves unreached at the
+    kernel's sentinel m * max(gens)."""
+    big = m * max(gens)
+    return [
+        [big if v is None else v for v in loop_apery_table(gens[:i], m)]
+        for i in range(1, len(gens) + 1)
+    ]

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -463,6 +464,21 @@ class TestFastApery:
         monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit)
         with pytest.raises(ValueError, match=f"up to {limit} are over the budget of {limit} entries"):
             verify_fast_apery(fam, 37)
+
+    def test_extreme_table_budget_fails_before_the_apery_set(self):
+        # Ap(<1, 6>; n) = {0, ..., n - 1}: its largest element, the tables'
+        # limit, is n - 1, and the check on that bound allocates nothing
+        fam = LinearFamily.normalize((1, 1, 1), (0, 1, 6))
+        n = weighted.EXTREME_TABLE_BUDGET + 1
+        Semigroup([2, 3]).frobenius()  # numpy is imported outside the trace
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"up to {n - 1} are over the budget"):
+                verify_fast_apery(fam, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rejects_non_unit_first_weight(self):
         with pytest.raises(ValueError):

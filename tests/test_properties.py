@@ -15,6 +15,7 @@ from conftest import (
     brute_members,
     brute_pseudo_frobenius,
     loop_apery_table,
+    loop_round_robin,
 )
 from numsgps import (
     LinearFamily,
@@ -216,6 +217,8 @@ def test_apery_table_matches_the_plain_loop_at_any_width(case):
     gens, m = case
     S = Semigroup(gens, keep_order=True)
     assert list(S.apery_set(m).elements) == loop_apery_table(gens, m)
+    # so is every table the round robin yields on the way, one per generator
+    assert [tab.tolist() for tab in S._round_robin(m, gens)] == loop_round_robin(gens, m)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -4,11 +4,12 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from conftest import brute_members, brute_pseudo_frobenius, random_generators
+from conftest import brute_members, brute_pseudo_frobenius, loop_round_robin, random_generators
 from numsgps import (
     Relation,
     Semigroup,
@@ -215,6 +216,13 @@ WIDTH_PAIRS = [
     (3, 10**20 + 1),
 ]
 
+MULTI_CYCLE_ES = [
+    2**59 - 1,  # 2 * m * max = 2**63 - 8: int64
+    2**63 // 9 | 1,  # m * max < 2**63, but the wrap term of the unreached
+    # cycle {1, 3} under 2e, big + 2e, is past 2**63
+    3**40,
+]
+
 
 class TestAperyTableWidth:
     """The Apery table runs on int64 while 2 * m * max(reduced) < 2**63 and on
@@ -267,12 +275,7 @@ class TestAperyTableWidth:
         assert (max(gaps), len(gaps)) == (want["frobenius"], want["genus"])
         assert list(want["pf"]) == brute_pseudo_frobenius(gens, want["frobenius"])
 
-    @pytest.mark.parametrize("e", [
-        2**59 - 1,  # 2 * m * max = 2**63 - 8: int64
-        2**63 // 9 | 1,  # m * max < 2**63, but the wrap term of the unreached
-        # cycle {1, 3} under 2e, big + 2e, is past 2**63
-        3**40,
-    ])
+    @pytest.mark.parametrize("e", MULTI_CYCLE_ES)
     def test_multi_cycle_table_at_the_int64_limit(self, e):
         # the pass for 2e splits the residues mod 4 into two cycles, one of
         # them all sentinels: the widest intermediate the kernel forms
@@ -282,6 +285,46 @@ class TestAperyTableWidth:
         assert S.frobenius() == want["frobenius"]
         assert S.genus() == want["genus"]
         assert S.pseudo_frobenius() == want["pf"]
+
+
+class TestRoundRobinPasses:
+    """Every table the round robin yields, after the first i generators,
+    equals the plain loop over those i, unreached classes at the sentinel
+    m * max.  The first pass with a non-zero step is a closed form on a
+    fresh table, so it is checked in each position a generator order gives
+    it, beside steps with gcd(step, m) > 1 and steps = 0 (mod m)."""
+
+    @staticmethod
+    def passes(gens, m):
+        return [tab.tolist() for tab in Semigroup(gens, keep_order=True)._round_robin(m, gens)]
+
+    @pytest.mark.parametrize("gens, m", [
+        ((6, 9, 20), 6),  # steps 3 and 2: three and two cycles
+        ((4, 6, 9), 4),  # step 2 leaves the odd cycle unreached
+        ((12, 19, 23, 30), 12),
+        ((10, 14, 15, 21), 10),
+        ((5, 10, 15, 7), 5),  # three generators = 0 (mod 5)
+        ((7,), 7),
+    ])
+    def test_every_pass_in_every_order(self, gens, m):
+        for order in permutations(gens):
+            assert self.passes(order, m) == loop_round_robin(order, m), order
+
+    @pytest.mark.parametrize("a, b", WIDTH_PAIRS)
+    def test_every_pass_at_the_width_pairs(self, a, b):
+        for order in [(a, b), (b, a)]:
+            assert self.passes(order, a) == loop_round_robin(order, a), order
+
+    @pytest.mark.parametrize("e", MULTI_CYCLE_ES)
+    def test_every_pass_at_the_int64_limit(self, e):
+        for order in permutations((4, 2 * e, 2 * e + 1)):
+            assert self.passes(order, 4) == loop_round_robin(order, 4), order
+
+    def test_snapshots_keep_the_int64_width_rule(self):
+        # int64 exactly while 2 * m * max < 2**63, Python ints past it
+        for (a, b), dtype in zip(WIDTH_PAIRS, ["int64", "object", "object", "object"]):
+            tabs = Semigroup([a, b])._round_robin(a, (a, b))
+            assert {tab.dtype.name for tab in tabs} == {dtype}, (a, b)
 
 
 class TestAperyTableBudget:
