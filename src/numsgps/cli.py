@@ -44,22 +44,20 @@ EXIT_ERROR = 1
 EXIT_REGIME_MISMATCH = 2
 
 
-def _jsonable(value):
-    """Recursively turn Fractions into exact strings; everything else stays."""
+def _exact(value):
+    """The JSON encoder's hook for what it cannot write: a Fraction becomes
+    its exact string; any other type is still an error."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict, rows, args) -> None:
-    """payload: full structured result (JSON mode); rows: list of (key, value)
-    pairs for the human table and CSV."""
+    """payload: full structured result (JSON mode; tuples are arrays and
+    Fractions exact strings); rows: list of (key, value) pairs for the human
+    table and CSV."""
     if args.json:
-        print(json.dumps(_jsonable(payload), indent=2))
+        print(json.dumps(payload, indent=2, default=_exact))
         return
     if args.csv:
         buf = io.StringIO()
@@ -74,10 +72,14 @@ def _emit(payload: dict, rows, args) -> None:
 
 
 def _cell(value, sep: str, none):
-    """A table cell: lists joined by sep, None shown as none."""
+    """A table cell: lists and tuples joined by sep, None shown as none."""
     if isinstance(value, (list, tuple)):
         return sep.join(str(_cell(v, sep, none)) for v in value)
     return none if value is None else value
+
+
+def _relation(rel) -> dict:
+    return {"degree": rel.degree, "left": rel.left, "right": rel.right}
 
 
 def _relation_row(rel):
@@ -91,15 +93,15 @@ def cmd_invariants(args) -> int:
     base = args.apery if args.apery is not None else S.multiplicity
     ap = S.apery_set(base)
     payload = {
-        "generators": list(S.generators),
+        "generators": S.generators,
         "gcd": S.d,
-        "minimal_generators": list(S.minimal_generators()),
+        "minimal_generators": S.minimal_generators(),
         "frobenius": S.frobenius(),
         "genus": S.genus(),
     }
     if S.d == 1:
         payload["type"] = S.type()
-        payload["pseudo_frobenius"] = list(S.pseudo_frobenius())
+        payload["pseudo_frobenius"] = S.pseudo_frobenius()
         payload["wilf_standard"] = S.wilf_number("standard")
         payload["wilf_variant"] = S.wilf_number("variant")
     else:
@@ -107,10 +109,10 @@ def cmd_invariants(args) -> int:
         payload["pseudo_frobenius"] = None
         payload["wilf_standard"] = None
         payload["wilf_variant"] = None
-    payload["apery"] = {"base": base, "elements": list(ap.elements)}
+    payload["apery"] = {"base": base, "elements": ap.elements}
     rows = [(k, v) for k, v in payload.items() if k != "apery"]
     rows.append(("apery base", base))
-    rows.append(("apery", list(ap.elements)))
+    rows.append(("apery", ap.elements))
     _emit(payload, rows, args)
     return EXIT_OK
 
@@ -119,10 +121,8 @@ def cmd_minpres(args) -> int:
     S = Semigroup(args.generators)
     rels = minimal_presentation(S)
     payload = {
-        "generators": list(S.generators),
-        "relations": [
-            {"degree": r.degree, "left": list(r.left), "right": list(r.right)} for r in rels
-        ],
+        "generators": S.generators,
+        "relations": [_relation(r) for r in rels],
     }
     rows = [("relations", len(rels))]
     rows += [(f"degree {r.degree}", _relation_row(r)) for r in rels]
@@ -145,8 +145,8 @@ def cmd_delta(args) -> int:
         {g for b in betti_elements(S) for g in delta_w_of_element(S, b, w)}
     )
     payload = {
-        "generators": list(S.generators),
-        "weights": list(w),
+        "generators": S.generators,
+        "weights": w,
         "min_delta": dmin,
         "max_delta": dmax,
         "union_over_betti_elements": betti_union,
@@ -158,9 +158,9 @@ def cmd_delta(args) -> int:
     ]
     if args.max_element is not None:
         if all(x == 1 for x in w):
-            brute = list(delta_set_up_to(S, args.max_element))
+            brute = delta_set_up_to(S, args.max_element)
         else:
-            brute = list(weighted_delta_union_up_to(S, w, args.max_element))
+            brute = weighted_delta_union_up_to(S, w, args.max_element)
         payload["brute_force"] = {"max_element": args.max_element, "deltas": brute}
         rows.append((f"brute force up to {args.max_element}", brute))
     _emit(payload, rows, args)
@@ -196,12 +196,18 @@ def _family_range(args, doc):
     return range(lo, hi + 1, args.step)
 
 
-def cmd_family_scan(args) -> int:
-    family, doc = _load_family(args)
+def _scan_as_written(args, family, doc) -> list:
+    """(n, value) rows of the invariant over the range, n as the user wrote
+    it (the library scans at n - shift)."""
     ns = _family_range(args, doc)
     rows = scan(family, [n - family.shift for n in ns], args.invariant)
-    rows = [(u, v) for u, (_, v) in zip(ns, rows)]
-    payload = {"invariant": args.invariant, "rows": [[n, _jsonable(v)] for n, v in rows]}
+    return [(u, v) for u, (_, v) in zip(ns, rows)]
+
+
+def cmd_family_scan(args) -> int:
+    family, doc = _load_family(args)
+    rows = _scan_as_written(args, family, doc)
+    payload = {"invariant": args.invariant, "rows": rows}
     table = [("n", args.invariant)] + rows if not (args.json or args.csv) else rows
     _emit(payload, table, args)
     return EXIT_OK
@@ -215,10 +221,8 @@ def cmd_family_verify_phi(args) -> int:
         "period": rep.period,
         "in_guaranteed_regime": rep.in_guaranteed_regime,
         "ok": rep.ok,
-        "problems": list(rep.problems),
-        "image": [
-            {"degree": r.degree, "left": list(r.left), "right": list(r.right)} for r in rep.image
-        ],
+        "problems": rep.problems,
+        "image": [_relation(r) for r in rep.image],
     }
     rows = [
         ("verify-phi", "PASS" if rep.ok else "FAIL"),
@@ -242,8 +246,8 @@ def cmd_family_verify_betti(args) -> int:
         "delta": rep.delta,
         "in_guaranteed_regime": rep.in_guaranteed_regime,
         "ok": ok,
-        "mapping": [list(p) for p in rep.mapping],
-        "anomalies": [[b, [str(x) for x in ls]] for b, ls in rep.anomalies],
+        "mapping": rep.mapping,
+        "anomalies": rep.anomalies,
     }
     rows = [
         ("verify-betti-bijection", "PASS" if ok else "FAIL"),
@@ -260,26 +264,21 @@ def cmd_family_verify_apery(args) -> int:
         raise ValueError("verify-apery takes --n or --range, not both")
     family, doc = _load_family(args, linear=True)
     ns = [args.n] if args.n is not None else _family_range(args, doc)
-    any_regime_fail = False
-    rows = []
-    results = []
-    for n in ns:
-        chk = verify_fast_apery(family, n - family.shift)
-        ok = chk.ok
-        if not ok and chk.in_guaranteed_regime:
-            any_regime_fail = True
-        results.append(
-            {
-                "n": n,
-                "ok": ok,
-                "matches_direct": chk.matches,
-                "singletons_ok": not chk.singleton_failures,
-                "in_guaranteed_regime": chk.in_guaranteed_regime,
-            }
-        )
-        rows.append((f"n={n}", "PASS" if ok else "FAIL"))
+    checks = [(n, verify_fast_apery(family, n - family.shift)) for n in ns]
+    results = [
+        {
+            "n": n,
+            "ok": chk.ok,
+            "matches_direct": chk.matches,
+            "singletons_ok": not chk.singleton_failures,
+            "in_guaranteed_regime": chk.in_guaranteed_regime,
+        }
+        for n, chk in checks
+    ]
+    rows = [(f"n={r['n']}", "PASS" if r["ok"] else "FAIL") for r in results]
     _emit({"results": results}, rows, args)
-    return EXIT_REGIME_MISMATCH if any_regime_fail else EXIT_OK
+    regime_fail = any(not r["ok"] and r["in_guaranteed_regime"] for r in results)
+    return EXIT_REGIME_MISMATCH if regime_fail else EXIT_OK
 
 
 def cmd_family_verify_pf(args) -> int:
@@ -293,7 +292,7 @@ def cmd_family_verify_pf(args) -> int:
         "ok": ok,
         "type_n": rep.type_n,
         "type_next": rep.type_next,
-        "mapping": [list(p) for p in rep.mapping],
+        "mapping": rep.mapping,
     }
     rows = [
         ("verify-pf", "PASS" if ok else "FAIL"),
@@ -346,9 +345,7 @@ def cmd_family_fit(args) -> int:
     if args.from_scan:
         samples = _read_scan_rows(args.from_scan)
     else:
-        ns = _family_range(args, doc)
-        rows = scan(family, [n - family.shift for n in ns], args.invariant)
-        samples = {u: v for u, (_, v) in zip(ns, rows)}
+        samples = dict(_scan_as_written(args, family, doc))
     result = fit(samples, args.period, args.degree)
     if isinstance(result, FitMismatch):
         payload = {"fit": None, "mismatch_n": result.mismatch_n, "reason": result.reason}
@@ -361,7 +358,7 @@ def cmd_family_fit(args) -> int:
         "degree": result.degree,
         "n_min": result.n_min,
         "leading_coefficient": lead,
-        "coefficients": [[c for c in row] for row in result.coeffs],
+        "coefficients": result.coeffs,
     }
     rows_out = [
         ("invariant", args.invariant),
@@ -370,8 +367,7 @@ def cmd_family_fit(args) -> int:
         ("n_min", result.n_min),
         ("leading coefficient", lead),
     ]
-    for j, row in enumerate(result.coeffs):
-        rows_out.append((f"coeff n^{j}", list(row)))
+    rows_out += [(f"coeff n^{j}", row) for j, row in enumerate(result.coeffs)]
     _emit(payload, rows_out, args)
     return EXIT_OK
 

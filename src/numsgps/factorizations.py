@@ -102,7 +102,9 @@ def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
 # Betti candidates per kernel call, at most (residues are taken whole, k - 1
 # candidates each).  The kernel's temporaries are k x k x BETTI_CHUNK arrays,
 # so a search holds O(BETTI_CHUNK k^2) beyond the residue table at any
-# multiplicity; a typical family member (a few hundred candidates) is one chunk.
+# multiplicity.  A chunk takes BETTI_CHUNK // k + 1 residues, 257 at k = 4:
+# EX53's members <3n+1, 4n+2, 6n+4, 9n+6> at n = 100..524 (m = 301..1573) take
+# 2-7 chunks, and those of w = (1, 2, 3, 3), r = (0, 1, 4, 6) at n = 109..306, 1-2.
 BETTI_CHUNK = 1024
 
 

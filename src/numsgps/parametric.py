@@ -258,7 +258,8 @@ def phi(family: LinearFamily, n: int, rel: Relation) -> Relation:
 @dataclass(frozen=True, slots=True)
 class TransportReport:
     """Transport of a whole minimal presentation from P_n to P_{n+p}, checked
-    against an independently computed presentation of the target."""
+    against the target's Betti elements and factorization graphs; the
+    target's own canonical presentation is kept as ``independent``."""
 
     n: int
     period: int
@@ -287,14 +288,10 @@ def transport_presentation(family: LinearFamily, n: int) -> TransportReport:
     source = minimal_presentation(family.instantiate(n))
     image = tuple(phi(family, n, rel) for rel in source)
     target = family.instantiate(n + family.period)
-    problems = list(verify_minimal_presentation(target, image))
+    problems = verify_minimal_presentation(target, image)
     independent = minimal_presentation(target)
     if independent == image:
         independent = image  # the usual outcome: a kept report holds one copy
-    want = sorted(r.degree for r in independent)
-    got = sorted(r.degree for r in image)
-    if want != got:
-        problems.append(f"image degrees {got} != independent degrees {want}")
     return TransportReport(
         n=n,
         period=family.period,

@@ -124,7 +124,7 @@ def fit(samples, period: int, degree: int):
                 f"{len(good)} samples remain above it (need {degree + 2})",
             )
         thresholds.append(good[0])
-        columns[s] = poly + [Fraction(0)] * (degree + 1 - len(poly))
+        columns[s] = poly
 
     n_min = max(thresholds)
     coeffs = [

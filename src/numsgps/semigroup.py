@@ -50,7 +50,7 @@ class Semigroup:
         else:
             gens = tuple(sorted(set(gens)))
         self.generators: tuple[int, ...] = gens
-        self.d: int = gcd(*gens) if len(gens) > 1 else gens[0]
+        self.d: int = gcd(*gens)
 
     def __repr__(self):
         return f"Semigroup{self.generators}"

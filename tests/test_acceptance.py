@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (
+from oracles import (
     brute_factorization_table,
     random_generators,
     random_weights,

@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from numsgps import cli
@@ -511,6 +514,12 @@ class TestDeterminism:
         assert out1 == out2
         doc = json.loads(out1)
         assert json.dumps(doc) == json.dumps(json.loads(out2))
+
+    def test_fractions_are_the_only_conversion(self):
+        assert json.dumps([(Fraction(-7, 2), Fraction(3))], default=cli._exact) == '[["-7/2", "3"]]'
+        for value in (1.5, {1, 2}, frozenset(), object(), b"3", Decimal(1), np.int64(3)):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._exact(value)
 
 
 class TestParserReuse:

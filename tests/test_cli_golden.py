@@ -27,6 +27,8 @@ EX71 = {"polys": [[0, 0, 1], [1, 1, 1], [1, 2, 1], [3, 2, 1]]}
 TWO_GAP = {"w": [1, 1], "r": [0, 2]}
 UNIT = {"w": [1, 1, 1], "r": [0, 1, 3]}
 UNIT_GCD2 = {"w": [1, 1, 1], "r": [0, 4, 6]}
+# fails its Betti bijection below the transport bound: one anomaly, exit 0
+EARLY_FAIL = {"w": [2, 3, 2, 1], "r": [0, 1, 3, 3]}
 
 # (case id, family spec or None, argv); "{spec}" stands for the spec file path
 _BASE = [
@@ -41,6 +43,8 @@ _BASE = [
     ("verify-phi-506", EX53, ["family", "--spec", "{spec}", "verify-phi", "--n", "506"]),
     ("verify-betti-515", EX53,
      ["family", "--spec", "{spec}", "verify-betti-bijection", "--n", "515"]),
+    ("verify-betti-anomaly", EARLY_FAIL,
+     ["family", "--spec", "{spec}", "verify-betti-bijection", "--n", "4"]),
     ("scan-frobenius", EX53,
      ["family", "--spec", "{spec}", "scan", "--invariant", "frobenius",
       "--range", "5", "61", "--step", "2"]),

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from conftest import (
+from oracles import (
     brute_betti_elements,
     brute_components,
     brute_factorization_table,

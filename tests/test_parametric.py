@@ -327,6 +327,16 @@ class TestTransport:
         assert not rep.in_guaranteed_regime
         assert rep.ok
 
+    def test_failure_below_the_bound_names_each_problem_once(self):
+        # transport bound 108; the degree multiset is checked once, by the verifier
+        rep = transport_presentation(LinearFamily.normalize((2, 3, 2, 1), (0, 1, 3, 3)), 5)
+        assert not rep.in_guaranteed_regime and not rep.ok
+        assert rep.problems == (
+            "degree multiset [50, 56, 154] != Betti elements with multiplicity [50, 56, 102, 110]",
+            "relation Relation(left=(7, 0, 0, 0), right=(0, 0, 0, 11), degree=154) is redundant"
+            " (same component of degree 154)",
+        )
+
 
 class TestBettiBijection:
     def test_small_family(self):

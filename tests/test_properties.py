@@ -1,4 +1,4 @@
-"""Derandomized property tests (hypothesis) against the conftest oracles."""
+"""Derandomized property tests (hypothesis) against the oracles in oracles.py."""
 
 from fractions import Fraction
 from itertools import count, islice
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (
+from oracles import (
     brute_betti_elements,
     brute_components,
     brute_factorization_table,

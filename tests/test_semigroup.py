@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_members, brute_pseudo_frobenius, loop_round_robin, random_generators
+from oracles import brute_members, brute_pseudo_frobenius, loop_round_robin, random_generators
 from numsgps import (
     Relation,
     Semigroup,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_length_sets, brute_weighted_length_sets, random_generators, random_weights
+from oracles import brute_length_sets, brute_weighted_length_sets, random_generators, random_weights
 from numsgps import (
     Semigroup,
     delta_of_element,
