@@ -8,12 +8,15 @@ the generators of a whole batch of elements with numpy.  The Betti search runs
 it over all Apery candidates, a fixed-size chunk at a time, and caches the
 labels of each Betti element; factorization graphs, minimal presentations and
 the presentation verifier read them there, and run the kernel on a batch of one
-at any other element.
+at any other element.  Minimal presentations enumerate nothing: each
+component's least member is the least factorization over that component's own
+generators, found greedily by :func:`_least`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .semigroup import Semigroup
 
@@ -214,6 +217,26 @@ def betti_elements(S: Semigroup) -> dict[int, int]:
     return {b: len(_roots(labels)) - 1 for b, labels in S._betti.items()}
 
 
+def _least(gens, t: int) -> tuple[int, ...] | None:
+    """The lexicographically least z >= 0 with z . gens = t, or None; see
+    :func:`minimal_presentation` for the greedy and its two-generator form."""
+    g, *rest = gens
+    if not rest:
+        return None if t % g else (t // g,)
+    if len(rest) == 1:
+        h = rest[0]
+        c = gcd(g, h)
+        if t % c:
+            return None
+        x = t // c * pow(g // c, -1, h // c) % (h // c)
+        return (x, (t - x * g) // h) if x * g <= t else None
+    for x in range(t // g + 1):
+        tail = _least(rest, t - x * g)
+        if tail is not None:
+            return (x, *tail)
+    return None
+
+
 def minimal_presentation(S: Semigroup) -> tuple[Relation, ...]:
     """A canonical minimal presentation: one relation per extra component of
     each Betti element.
@@ -222,13 +245,32 @@ def minimal_presentation(S: Semigroup) -> tuple[Relation, ...]:
     lexicographically least factorization is the base; every other component
     contributes (its lex-least member, base's lex-least member).  Minimal
     presentations are not unique, so the canonical choice keeps output stable.
+
+    No factorization set is enumerated.  The Betti search caches each Betti
+    element's component labels (see :func:`_components`), and a component's
+    factorizations are exactly the factorizations of beta over its own
+    generators.  A factorization's support is a clique of available
+    generators, so it lies in one component; one using only the component's
+    generators has a non-empty support inside it, so it lies in that one.
+    Its lex-least member is then a greedy over those generators in position
+    order (:func:`_least`): at each, the least count that leaves a remainder
+    the later ones still reach.  With two left, g and h with c = gcd(g, h),
+    the remainders t - x g that h divides are those with x congruent to
+    (t/c)(g/c)^-1 mod h/c, so the least count is that residue x, feasible iff
+    c | t and x g <= t; with more, each try recurses, and this closed form
+    ends the recursion.
     """
     rels = []
+    gens = S.generators
     for beta in betti_elements(S):
-        comps = factorization_graph(S, beta).components
-        base = comps[0][0]
-        for comp in comps[1:]:
-            rels.append(Relation(comp[0], base, beta))
+        labels = S._betti[beta]
+        least = []
+        for root in _roots(labels):
+            pos = [i for i, label in enumerate(labels) if label == root]
+            z = dict(zip(pos, _least([gens[i] for i in pos], beta)))
+            least.append(tuple(z.get(i, 0) for i in range(S.k)))
+        base, *others = sorted(least)
+        rels.extend(Relation(z, base, beta) for z in others)
     return tuple(rels)
 
 
@@ -267,8 +309,9 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
 
     # a side balancing at beta factors it iff no entry is negative
     for beta, rels in sorted(by_degree.items()):
-        if not S.contains(beta):
-            raise ValueError(f"{beta} is not an element of {S!r}")
+        if not S.contains(beta):  # so every side has a negative entry
+            problems += [f"relation {r} uses a vector that does not factor {beta}" for r in rels]
+            continue
         roots, component = _component_lookup(S, beta)
         label = dict(zip(roots, roots))
         for rel in rels:

@@ -286,10 +286,16 @@ def transport_presentation(family: LinearFamily, n: int) -> TransportReport:
     if family.is_degenerate:
         raise ValueError("degenerate family: period zero, P_{n+p} = P_n")
     source = minimal_presentation(family.instantiate(n))
-    image = tuple(phi(family, n, rel) for rel in source)
     target = family.instantiate(n + family.period)
-    problems = verify_minimal_presentation(target, image)
     independent = minimal_presentation(target)
+    # each image degree that is a Betti element of the target is the target's
+    # own int, which a kept report then holds once
+    own = {rel.degree: rel.degree for rel in independent}
+    image = tuple(
+        Relation(z.left, z.right, own.get(z.degree, z.degree))
+        for z in (phi(family, n, rel) for rel in source)
+    )
+    problems = verify_minimal_presentation(target, image)
     if independent == image:
         independent = image  # the usual outcome: a kept report holds one copy
     return TransportReport(
@@ -370,13 +376,15 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     source = betti_elements(P)
     target = betti_elements(family.instantiate(n + p))
     w1, wk, rk = family.w[0], family.w[-1], family.r[-1]
+    own = dict(zip(target, target))  # an image in Betti(P_{n+p}) is kept as the target's own int
     mapping = []
     anomalies = []
     for beta in source:
         lengths = _lengths(P, beta, family.w)
         spread = lengths[-1] - lengths[0]  # 0 or gap when the set is {lam} or {lam, lam + gap}
         if len(lengths) <= 2 and spread in (0, gap):
-            mapping.append((beta, beta + lengths[0] * p + spread * w1 * (wk * (n + p) + rk)))
+            image = beta + lengths[0] * p + spread * w1 * (wk * (n + p) + rk)
+            mapping.append((beta, own.get(image, image)))
         else:
             anomalies.append((beta, tuple(map(Fraction, lengths))))
     return BettiBijectionReport(

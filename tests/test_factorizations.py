@@ -1,3 +1,4 @@
+import importlib
 import random
 import tracemalloc
 from itertools import permutations
@@ -399,10 +400,14 @@ class TestMinimalPresentation:
     def test_verifier_edge_cases(self):
         S = Semigroup([6, 9, 20])
         rels = minimal_presentation(S)
-        # balanced sides whose degree is not an element
+        # balanced sides whose degree is not an element: every side has a
+        # negative entry, which is a problem, not an error
         for left, right, degree in [((-1, 1, 2), (2, -1, 2), 43), ((-1, 0, 0), (2, -2, 0), -6)]:
-            with pytest.raises(ValueError, match=rf"^{degree} is not an element of Semigroup\(6, 9, 20\)$"):
-                verify_minimal_presentation(S, rels + (Relation(left, right, degree),))
+            rel = Relation(left, right, degree)
+            assert verify_minimal_presentation(S, rels + (rel,)) == [
+                f"degree multiset {sorted([18, 60, degree])} != Betti elements with multiplicity [18, 60]",
+                f"relation {rel} uses a vector that does not factor {degree}",
+            ]
         zero = Relation((0, 0, 0), (0, 0, 0), 0)
         assert verify_minimal_presentation(S, rels + (zero,)) == [
             "degree multiset [0, 18, 60] != Betti elements with multiplicity [18, 60]",
@@ -424,6 +429,29 @@ class TestMinimalPresentation:
             "relation Relation(left=(0, 0, 2), right=(1, 6, -1), degree=40) uses a vector "
             "that does not factor 40",
         ]
+
+    def test_verifier_reports_a_relation_at_a_gap(self):
+        # (-1, 2) balances at 7, a gap of <3, 5>: a problem to report, not an error
+        rel = Relation((-1, 2), (-1, 2), 7)
+        assert verify_minimal_presentation(Semigroup([3, 5]), [rel]) == [
+            "degree multiset [7] != Betti elements with multiplicity [15]",
+            f"relation {rel} uses a vector that does not factor 7",
+        ]
+
+    @pytest.mark.parametrize("gens", [
+        (1519, 2026, 3040, 4560),  # EX53 at n = 506
+        (200, 401, 604, 606),  # w = (1, 2, 3, 3), r = (0, 1, 4, 6) at n = 200
+    ])
+    def test_enumerates_no_factorization_set(self, gens, monkeypatch):
+        # each component's least member is read off its own generators
+        want = minimal_presentation(Semigroup(gens, keep_order=True))
+
+        def refuse(S, t):
+            raise AssertionError(f"enumerated Z({t})")
+
+        module = importlib.import_module("numsgps.factorizations")
+        monkeypatch.setattr(module, "factorizations", refuse)
+        assert minimal_presentation(Semigroup(gens, keep_order=True)) == want
 
     def test_partial_presentation_does_not_chain(self):
         S = Semigroup([6, 9, 20])

@@ -337,6 +337,16 @@ class TestTransport:
             " (same component of degree 154)",
         )
 
+    def test_kept_reports_share_the_targets_betti_ints(self):
+        # image degrees and Betti-map images are the target's own ints, not
+        # equal copies, so a kept report holds each Betti element once
+        f2 = LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6))
+        rep, bij = transport_presentation(f2, 200), betti_bijection(f2, 200)
+        own = {b: b for b in betti_elements(f2.instantiate(200 + f2.period))}
+        assert rep.ok and bij.is_bijection and rep.independent is rep.image
+        assert all(own[rel.degree] is rel.degree for rel in rep.image)
+        assert all(own[image] is image for _, image in bij.mapping)
+
 
 class TestBettiBijection:
     def test_small_family(self):

@@ -19,6 +19,7 @@ from oracles import (
 )
 from numsgps import (
     LinearFamily,
+    Relation,
     Semigroup,
     apery_at_multiple,
     betti_bijection,
@@ -119,6 +120,26 @@ def test_cached_component_labels_match_oracle_and_a_fresh_kernel_call(gens, scal
         assert factorization_graph(S, beta).components == brute_components(table[beta]), beta
         fresh = _components(S._residue_table, np.array([beta // S.d]), S._reduced)
         assert list(labels) == fresh[:, 0].tolist(), beta
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(2, 15), min_size=1, max_size=6, unique=True), st.sampled_from([1, 2, 3]))
+@example([5, 6, 7, 8, 9], 1)  # 18 = 6+6+6 = 5+6+7 = 5+5+8 = 9+9: a component of four generators
+@example([9, 6, 10], 3)  # gcd 3, unsorted
+def test_minimal_presentation_pairs_each_components_least_member_with_the_base(gens, scale):
+    # the canonical choice, from the oracles alone: at each Betti element the
+    # least member of every other component is paired with the least member
+    # of the component holding the overall least factorization
+    S = Semigroup([scale * g for g in gens], keep_order=True)
+    betti = brute_betti_elements(S.generators)
+    table = brute_factorization_table(S.generators, max(betti, default=0))
+    want = []
+    for beta in betti:
+        base, *others = (comp[0] for comp in brute_components(table[beta]))
+        want += [Relation(z, base, beta) for z in others]
+    assert minimal_presentation(S) == tuple(want)
+    if gens == [5, 6, 7, 8, 9]:
+        assert Relation((0, 3, 0, 0, 0), (0, 0, 0, 0, 2), 18) in want
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
