@@ -126,28 +126,29 @@ def _components(tab, ts, gens):
     with t - g in S, where g~h when t - g - h is in S: each support is a
     clique there, each available g is in some support, and an edge g~h yields
     a factorization using both.  All memberships are one test, the rule of
-    :meth:`Semigroup.contains` (x >= tab[x % m]) on the k x k x len(ts) array
-    x = t - g_i - g_j, with x = t - g_i on the diagonal: the diagonal is the
-    availability mask, the rest the edge mask (an edge implies both ends are
-    available).  Labels start at each available generator's own index and at
-    k elsewhere; each sweep sets every label to the least over itself and its
-    neighbours.  After s sweeps a label is the least index within s edges.  A
-    component has at most k generators, so any two are joined by a path of
-    at most k - 1 edges, and k - 1 sweeps leave every label at its
-    component's least index.
+    :meth:`Semigroup.contains`, x >= tab[x - (x // m) m] (x mod m, also for
+    x < 0), on the k x k x len(ts) array x = t - g_i - g_j, x = t - g_i on the
+    diagonal, kept as a mask on the label dtype: 0 where x is in S, else k.
+    Labels start at each available generator's own index, k elsewhere; a sweep
+    sets label i to the least over j of max(label j, mask ij).  A neighbour
+    gives its label; a non-edge gives k, never below a label; an unavailable
+    generator has no edges (an edge implies both ends are available), so it
+    keeps k.  After s sweeps a label is the least index within s edges.  The
+    k or fewer generators of a component are joined by paths of at most k - 1
+    edges, so k - 1 sweeps leave every label at its component's least index.
     """
     import numpy as np
 
-    k = len(gens)
+    k, m = len(gens), len(tab)
     own = np.arange(k, dtype=np.min_scalar_type(k))
     g = np.array(gens, dtype=ts.dtype)
     pairs = g[:, None] + g
     pairs[own, own] = g
     x = ts - pairs[:, :, None]
-    edges = x >= tab[(x % len(tab)).astype(np.intp, copy=False)]
-    labels = np.where(edges[own, own], own[:, None], k)
+    far = (x < tab[(x - x // m * m).astype(np.intp, copy=False)]) * own.dtype.type(k)
+    labels = np.maximum(own[:, None], far[own, own])
     for _ in range(k - 1):
-        labels = np.where(edges, labels, k).min(axis=1)
+        labels = np.maximum(labels, far).min(axis=1)
     return labels
 
 

@@ -311,11 +311,9 @@ def transport_presentation(family: LinearFamily, n: int) -> TransportReport:
 
 @dataclass(frozen=True, slots=True)
 class BettiBijectionReport:
-    """The piecewise map Betti(P_n) -> Betti(P_{n+p}), with delta the family's
-    delta and g the gcd of P_n (and of P_{n+p}): a Betti element whose
-    weighted length set is a singleton {lam} moves by lam*p; one with set
-    {lam, lam + delta/g} additionally moves by (delta/g)*w_1*(w_k*(n+p) + r_k).
-    g is ``family.instantiate(n).d``."""
+    """The piecewise map Betti(P_n) -> Betti(P_{n+p}) of :func:`betti_bijection`:
+    with g = ``family.instantiate(n).d``, an element of weighted lengths {lam}
+    moves by lam*p, one of {lam, lam + delta/g} also by (delta/g)*w_1*(w_k*(n+p) + r_k)."""
 
     n: int
     period: int
@@ -332,12 +330,9 @@ class BettiBijectionReport:
 
     @property
     def is_bijection(self) -> bool:
-        if self.anomalies:
-            return False
-        image = [b for _, b in self.mapping]
-        return len(set(image)) == len(image) and sorted(image) == sorted(
-            b for b, _ in self.target
-        )
+        # the target's Betti elements are distinct, so equal sorted lists are one-to-one
+        image = sorted(b for _, b in self.mapping)
+        return not self.anomalies and image == sorted(b for b, _ in self.target)
 
 
 def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
@@ -364,9 +359,13 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     + r'_k)) = g b + lam p + (delta/g) w_1 (w_k (n + p) + r_k).  Its
     regime is not carried over; the guarantee is the family's own bound.
 
-    A Betti element whose weighted length set is neither {lam} nor
-    {lam, lam + delta/g} is recorded as an anomaly (never happens above the
-    transport bound)."""
+    The gap lemma: for z, z' in Z(beta) and v = z - z', v . g = 0 gives
+    g_j (v . w) = sum_i v_i (w_i r_j - w_j r_i), a multiple of delta, for each
+    j; g is an integer combination of the g_j, so weighted-length differences
+    are multiples of delta/g.  Each length lies in [ceil(beta w_k / g_k),
+    floor(beta w_1 / g_1)], as w_i / g_i = 1 / (n + r_i / w_i) falls with the
+    ratios.  So the extremes alone decide the set's shape; a set other than
+    {lam} or {lam, lam + delta/g} is an anomaly (never above the transport bound)."""
     if family.is_degenerate:
         raise ValueError("degenerate family: period zero")
     delta = family_delta(family)

@@ -78,6 +78,39 @@ def brute_components(zs):
     return tuple(sorted((tuple(sorted(m)) for _, m in comps), key=lambda c: c[0]))
 
 
+def brute_component_labels(gens, t, member):
+    """The component kernel's labels for t, from the available-generator
+    graph: g_i is available when t - g_i is in S, and g_i ~ g_j when
+    t - g_i - g_j is; member(x) decides x in S.  A search from each available
+    generator in index order gives its component that (least) index, and an
+    unavailable generator keeps k."""
+    k = len(gens)
+    avail = [i for i in range(k) if member(t - gens[i])]
+    labels = [k] * k
+    for root in avail:
+        if labels[root] == k:
+            labels[root] = root
+            todo = [root]
+            while todo:
+                i = todo.pop()
+                for j in avail:
+                    if labels[j] == k and member(t - gens[i] - gens[j]):
+                        labels[j] = root
+                        todo.append(j)
+    return labels
+
+
+def brute_member(gens, x):
+    """Whether x is a sum of gens, by trying every count of each generator but
+    the first and testing what is left against the first.  Exact at any width;
+    it takes about prod(x / g + 1) steps over gens[1:], so it suits an x that
+    is a small multiple of those (generators past 2**64 over a small first)."""
+    first, *rest = gens
+    if x < 0 or not rest:
+        return x >= 0 and x % first == 0
+    return any(brute_member([first, *rest[1:]], x - c * rest[0]) for c in range(x // rest[0] + 1))
+
+
 def brute_members(gens, bound):
     """Set of representable integers <= bound via plain reachability DP."""
     reach = [False] * (bound + 1)

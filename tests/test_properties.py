@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_betti_elements,
+    brute_component_labels,
     brute_components,
     brute_factorization_table,
+    brute_member,
     brute_members,
     brute_pseudo_frobenius,
     loop_apery_table,
@@ -28,6 +30,7 @@ from numsgps import (
     delta_set_up_to,
     factorization_graph,
     factorizations,
+    family_delta,
     fit,
     min_delta_w,
     minimal_presentation,
@@ -120,6 +123,47 @@ def test_cached_component_labels_match_oracle_and_a_fresh_kernel_call(gens, scal
         assert factorization_graph(S, beta).components == brute_components(table[beta]), beta
         fresh = _components(S._residue_table, np.array([beta // S.d]), S._reduced)
         assert list(labels) == fresh[:, 0].tolist(), beta
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(2, 15), min_size=1, max_size=6, unique=True),
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.integers(0, 2**16), max_size=20),
+)
+@example([5, 6, 7, 8, 9], 1, [18])  # a component of four generators
+@example([10, 15, 6], 1, [30])  # three components
+def test_component_kernel_matches_oracle_on_any_batch(gens, scale, draws):
+    # the kernel on a batch of elements, gaps, 0 and values past the residue
+    # table (so t - g_i - g_j is often negative), at both widths, against the
+    # available-generator graph read off brute-force membership in S itself
+    S = Semigroup([scale * g for g in gens], keep_order=True)
+    tab, red = S._residue_table, S._reduced
+    top = int(tab.max()) + 2 * max(red)
+    # 0, the Frobenius number, past the table, and draws up to there
+    ts = [0, int(tab.max()) - len(tab), top] + [x % (top + 1) for x in draws]
+    members = brute_members(S.generators, S.d * top)
+    want = [brute_component_labels(S.generators, S.d * t, members.__contains__) for t in ts]
+    for dtype in (np.int64, object):
+        got = _components(tab.astype(dtype), np.array(ts, dtype=dtype), red)
+        assert got.T.tolist() == want, dtype
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True), st.data())
+def test_component_kernel_matches_oracle_past_2_64(m, offsets, data):
+    # generators past 2**64 over a small multiplicity: the residue table and
+    # the batch hold Python ints (the object width); brute_member needs only a
+    # few counts of each large generator
+    S = Semigroup([m] + [2**64 + h for h in offsets])
+    assume(S.d == 1)
+    tab, red = S._residue_table, S._reduced
+    assert tab.dtype == object
+    top = max(tab) + 2 * max(red)
+    near = st.builds(lambda c, u: c * max(red) + u, st.integers(0, 3), st.integers(0, 3 * m))
+    ts = [0, max(tab) - len(tab), top] + data.draw(st.lists(near | st.integers(0, top), max_size=12))
+    want = [brute_component_labels(S.generators, S.d * t, lambda x: brute_member(S.generators, x)) for t in ts]
+    assert _components(tab, np.array(ts, dtype=object), red).T.tolist() == want
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -331,6 +375,32 @@ def test_transport_and_betti_bijection_hold_above_the_bound(fam):
             assert gcd(*later) == gcd(*gens), (fam, n)
             assert transport_presentation(fam, n).ok, (fam, n)
             assert betti_bijection(fam, n).is_bijection, (fam, n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(linear_families(), st.integers(1, 29))
+@example(LinearFamily.normalize((2, 1), (0, 1)), 9)  # P_9 = <18, 10>, gcd 2
+@example(LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6)), 20)
+def test_betti_weighted_lengths_obey_the_gap_lemma(fam, n):
+    # at every Betti element of P_n, below the transport bound too: weighted
+    # lengths differ by multiples of delta/g and lie between beta w_k / g_k
+    # and beta w_1 / g_1 (the betti_bijection docstring)
+    gens = fam.generators(n)
+    assume(len(set(gens)) == len(gens))
+    S = Semigroup(gens, keep_order=True)
+    delta, w, r = family_delta(fam), fam.w, fam.r
+    assert delta % S.d == 0, (fam, n)
+    for beta in betti_elements(S):
+        zs = factorizations(S, beta)
+        lengths = {sum(c * x for c, x in zip(z, w)) for z in zs}
+        lo, hi = -(-beta * w[-1] // gens[-1]), beta * w[0] // gens[0]
+        assert lo <= min(lengths) and max(lengths) <= hi, (fam, n, beta)
+        for z in zs:
+            v = [a - b for a, b in zip(z, zs[0])]
+            for j, g in enumerate(gens):
+                rhs = sum(v[i] * (w[i] * r[j] - w[j] * r[i]) for i in range(fam.k))
+                assert g * sum(a * b for a, b in zip(v, w)) == rhs, (fam, n, beta, z)
+        assert all((x - min(lengths)) % (delta // S.d) == 0 for x in lengths), (fam, n, beta)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
