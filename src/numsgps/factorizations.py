@@ -263,8 +263,7 @@ def minimal_presentation(S: Semigroup) -> tuple[Relation, ...]:
     """
     rels = []
     gens = S.generators
-    for beta in betti_elements(S):
-        labels = S._betti[beta]
+    for beta, labels in S._betti.items():
         least = []
         for root in _roots(labels):
             pos = [i for i, label in enumerate(labels) if label == root]

@@ -19,7 +19,7 @@ from .factorizations import (
     verify_minimal_presentation,
 )
 from .semigroup import AperySet, Semigroup
-from .weighted import _check_extremes_budget, _extremes, _lengths
+from .weighted import _check_extremes_budget, _extreme_lengths, _extremes, _lengths
 
 
 class VerificationError(RuntimeError):
@@ -364,8 +364,12 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     j; g is an integer combination of the g_j, so weighted-length differences
     are multiples of delta/g.  Each length lies in [ceil(beta w_k / g_k),
     floor(beta w_1 / g_1)], as w_i / g_i = 1 / (n + r_i / w_i) falls with the
-    ratios.  So the extremes alone decide the set's shape; a set other than
-    {lam} or {lam, lam + delta/g} is an anomaly (never above the transport bound)."""
+    ratios.  So the extremes alone decide the set's shape: every length is
+    lam plus a multiple of delta/g, so a spread max - min of 0 is {lam} and
+    one of delta/g is {lam, lam + delta/g}.  The extremes come from the
+    branch and bound of ``weighted._extreme_lengths``, and only an anomaly, a
+    set of any other spread (never above the transport bound), enumerates
+    Z(beta), as its report prints the whole set."""
     if family.is_degenerate:
         raise ValueError("degenerate family: period zero")
     delta = family_delta(family)
@@ -379,13 +383,13 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     mapping = []
     anomalies = []
     for beta in source:
-        lengths = _lengths(P, beta, family.w)
-        spread = lengths[-1] - lengths[0]  # 0 or gap when the set is {lam} or {lam, lam + gap}
-        if len(lengths) <= 2 and spread in (0, gap):
-            image = beta + lengths[0] * p + spread * w1 * (wk * (n + p) + rk)
+        lam, top = _extreme_lengths(P, beta, family.w)
+        spread = top - lam  # 0 or gap exactly when the set is {lam} or {lam, lam + gap}
+        if spread in (0, gap):
+            image = beta + lam * p + spread * w1 * (wk * (n + p) + rk)
             mapping.append((beta, own.get(image, image)))
         else:
-            anomalies.append((beta, tuple(map(Fraction, lengths))))
+            anomalies.append((beta, tuple(map(Fraction, _lengths(P, beta, family.w)))))
     return BettiBijectionReport(
         n=n,
         period=p,

@@ -163,7 +163,8 @@ class Semigroup:
         gcd(g_1, ..., g_i), tab_i the round robin's table modulo g_1 after their
         passes (sentinel off the multiples of e_i), as Python ints.  The passes
         stop before the largest generator: after all of them the table is the
-        residue table, whatever their order.  Only factorizations() builds them."""
+        residue table, whatever their order.  Only factorizations() and the
+        extreme-length kernel weighted._extreme_lengths read them."""
         gens, order = zip(*sorted(zip(self._reduced, range(self.k))))
         passes = islice(self._round_robin(gens[0], gens), self.k - 1)
         tables = [tab.tolist() for tab in passes] + [self._residue_table.tolist()]

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import random
 import sys
 import threading
@@ -364,6 +365,22 @@ class TestBettiBijection:
         assert rep.anomalies[0] == (21, (Fraction(3), Fraction(5)))
         assert all(type(x) is Fraction for x in rep.anomalies[0][1])
         assert not rep.is_bijection
+
+    @pytest.mark.parametrize("family, n", [
+        (EX53, 506),
+        (LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6)), 200),
+    ])
+    def test_enumerates_no_factorization_set(self, family, n, monkeypatch):
+        # passing members read their extremes off the branch and bound
+        want = betti_bijection(family, n)
+        assert want.is_bijection
+
+        def refuse(S, t):
+            raise AssertionError(f"enumerated Z({t})")
+
+        for module in (weighted, importlib.import_module("numsgps.factorizations")):
+            monkeypatch.setattr(module, "factorizations", refuse)
+        assert betti_bijection(family, n) == want
 
     def test_singleton_branch_moves_linearly(self):
         rep = betti_bijection(SMALL, 6)

@@ -5,6 +5,7 @@ from itertools import count, islice
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from oracles import (
     brute_member,
     brute_members,
     brute_pseudo_frobenius,
+    brute_weighted_length_sets,
     loop_apery_table,
     loop_round_robin,
 )
@@ -40,6 +42,7 @@ from numsgps import (
     weighted_delta_profile,
 )
 from numsgps.factorizations import _components
+from numsgps.weighted import _extreme_lengths, _lengths
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
 small_generators = st.lists(st.integers(2, 15), min_size=1, max_size=4, unique=True)
@@ -401,6 +404,29 @@ def test_betti_weighted_lengths_obey_the_gap_lemma(fam, n):
                 rhs = sum(v[i] * (w[i] * r[j] - w[j] * r[i]) for i in range(fam.k))
                 assert g * sum(a * b for a, b in zip(v, w)) == rhs, (fam, n, beta, z)
         assert all((x - min(lengths)) % (delta // S.d) == 0 for x in lengths), (fam, n, beta)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(2, 13), min_size=1, max_size=6, unique=True),
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+)
+@example([7, 3, 5], 1, [1, 0, -2, 0, 0, 0])
+def test_extreme_lengths_match_the_enumerated_oracle(gens, scale, weights):
+    # any order, any gcd, zero and negative weights; non-elements raise as _lengths does
+    S = Semigroup([scale * g for g in gens], keep_order=True)
+    iw = weights[: S.k]
+    table = brute_weighted_length_sets(S.generators, iw, 3 * max(S.generators))
+    for t, lengths in enumerate(table):
+        if lengths:
+            assert _extreme_lengths(S, t, iw) == (min(lengths), max(lengths)), t
+    for t in [-1, *(t for t, lengths in enumerate(table) if not lengths)]:
+        with pytest.raises(ValueError) as want:
+            _lengths(S, t, iw)
+        with pytest.raises(ValueError) as got:
+            _extreme_lengths(S, t, iw)
+        assert str(got.value) == str(want.value)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
