@@ -158,16 +158,17 @@ class Semigroup:
         return tab
 
     @cached_property
-    def _prefix_tables(self) -> tuple[tuple[int, int, int, list[int]], ...]:
+    def _prefix_tables(self) -> tuple[tuple[int, int, int, list[int] | None], ...]:
         """(position, g_i, e_i, tab_i) per reduced generator g_i, ascending: e_i =
         gcd(g_1, ..., g_i), tab_i the round robin's table modulo g_1 after their
-        passes (sentinel off the multiples of e_i), as Python ints.  The passes
-        stop before the largest generator: after all of them the table is the
-        residue table, whatever their order.  Only factorizations() and the
+        passes (sentinel off the multiples of e_i), as Python ints.  A reader
+        takes tab_i only to prune what is left to g_1, ..., g_i once g_{i+1} is
+        assigned, so nothing reads tab_k: the passes stop before the largest
+        generator, and tab_k is None.  Only factorizations() and the
         extreme-length kernel weighted._extreme_lengths read them."""
         gens, order = zip(*sorted(zip(self._reduced, range(self.k))))
         passes = islice(self._round_robin(gens[0], gens), self.k - 1)
-        tables = [tab.tolist() for tab in passes] + [self._residue_table.tolist()]
+        tables = [tab.tolist() for tab in passes] + [None]
         return tuple(zip(order, gens, accumulate(gens, gcd), tables))
 
     @cached_property

@@ -260,6 +260,36 @@ def _extremes(S: Semigroup, iw, limit: int) -> tuple[list, list]:
     return hi, lo
 
 
+def _ideal_extremes(S: Semigroup, iw, elements) -> tuple[dict, dict]:
+    """The sparse form of :func:`_extremes`: dicts of the max and min integer
+    length z . iw of each of ``elements``, ascending, whose members in S form
+    an order ideal of S: 0 and, with each e, every e - s for s in S.  An
+    Apery set is one, as e - s - m in S would put e - m in S.
+
+    Every factorization of an e > 0 in S uses some generator g and leaves
+    e - g in S, so among the members; so Z(e) is the union of Z(e - g) + e_g
+    over the generators g with e - g a member, and the recurrence of
+    :func:`_extremes` over the members alone is exact.  An element outside S
+    gets no entry."""
+    hi, lo = {0: 0}, {0: 0}
+    steps = list(zip(S.generators, iw))
+    for e in elements:
+        best_hi = best_lo = None
+        for g, wi in steps:
+            prev = hi.get(e - g)
+            if prev is not None:
+                cand = prev + wi
+                if best_hi is None or cand > best_hi:
+                    best_hi = cand
+                cand = lo[e - g] + wi
+                if best_lo is None or cand < best_lo:
+                    best_lo = cand
+        if best_hi is not None:
+            hi[e] = best_hi
+            lo[e] = best_lo
+    return hi, lo
+
+
 def weighted_extreme_tables(S: Semigroup, w, limit: int):
     """DP tables of the max and min weighted length for every element
     0..limit; None at non-elements.  Returns (max_table, min_table)."""

@@ -29,6 +29,9 @@ UNIT = {"w": [1, 1, 1], "r": [0, 1, 3]}
 UNIT_GCD2 = {"w": [1, 1, 1], "r": [0, 4, 6]}
 # fails its Betti bijection below the transport bound: one anomaly, exit 0
 EARLY_FAIL = {"w": [2, 3, 2, 1], "r": [0, 1, 3, 3]}
+# fails its closed-form Apery check at n = 7, 8, 9, below the Apery bound:
+# FAIL rows, exit 0
+APERY_FAIL = {"w": [1, 1, 1], "r": [0, 1, 6]}
 
 # (case id, family spec or None, argv); "{spec}" stands for the spec file path
 _BASE = [
@@ -73,6 +76,8 @@ _BASE = [
     ("verify-pf-gcd2", UNIT_GCD2, ["family", "--spec", "{spec}", "verify-pf", "--n", "37"]),
     ("verify-apery-gcd2", UNIT_GCD2,
      ["family", "--spec", "{spec}", "verify-apery", "--range", "10", "20", "--step", "3"]),
+    ("verify-apery-fail", APERY_FAIL,
+     ["family", "--spec", "{spec}", "verify-apery", "--range", "5", "12"]),
     ("fit-ok", TWO_GAP,
      ["family", "--spec", "{spec}", "fit", "--invariant", "frobenius",
       "--range", "5", "61", "--step", "2", "--degree", "2", "--period", "2"]),

@@ -75,15 +75,16 @@ class TestFactorizations:
     @pytest.mark.parametrize("gens", [(4, 6, 9), (9, 4, 6, 10), (20, 9, 6), (7,), (2, 3), (3, 10**20 + 1)])
     @pytest.mark.parametrize("scale", [1, 3])
     def test_last_prefix_table_is_the_residue_table(self, gens, scale):
-        # the passes stop before the largest generator and reuse the residue
-        # table for the last one; every table equals that of the full round robin
+        # the round robin's last table is the residue table, which no reader
+        # of the prefix tables uses: they hold one entry per generator, the
+        # snapshots after the first k - 1 passes, and None for the largest
         S = Semigroup([scale * g for g in gens], keep_order=True)
         reduced = sorted(S._reduced)
         full = [tab.tolist() for tab in S._round_robin(reduced[0], reduced)]
+        assert full[-1] == S._residue_table.tolist()
         tables = [tab for _, _, _, tab in S._prefix_tables]
-        assert tables == full
-        assert tables[-1] == S._residue_table.tolist()
-        assert all(type(x) is int for tab in tables for x in tab)
+        assert tables == full[:-1] + [None]
+        assert all(type(x) is int for tab in tables[:-1] for x in tab)
 
     def test_builds_no_semigroup(self, monkeypatch):
         S = Semigroup((9, 4, 6, 10), keep_order=True)

@@ -31,7 +31,7 @@ from numsgps import (
     verify_fast_apery,
     weighted_delta_union_up_to,
 )
-from numsgps import weighted
+from numsgps import parametric, weighted
 
 
 EX53 = LinearFamily.normalize((3, 4, 6, 9), (1, 2, 4, 6))
@@ -492,6 +492,30 @@ class TestFastApery:
         assert not chk.in_guaranteed_regime and not chk.matches
         assert chk.singleton_failures == ((40, (Fraction(4), Fraction(5))),)
         assert all(type(x) is Fraction for x in chk.singleton_failures[0][1])
+
+    @pytest.mark.parametrize("family, ns, enumerated", [
+        # apery9.json's window above its bound (108): every member passes
+        (LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6)), range(109, 121), {}),
+        # 40 is the one mapped element outside the direct Apery set
+        (LinearFamily.normalize((1, 1, 1), (0, 1, 6)), [7], {7: [40]}),
+        # every element is in it, but 30, 40 and 50 have two lengths
+        (LinearFamily.normalize((1, 1, 1), (0, 1, 6)), [9], {9: [30, 40, 50]}),
+    ])
+    def test_enumerates_only_failing_elements(self, family, ns, enumerated, monkeypatch):
+        # passing elements read their extremes off one pass over Ap(P_n; n)
+        calls = []
+        lengths = parametric._lengths
+
+        def counted(S, t, iw):
+            calls.append(t)
+            return lengths(S, t, iw)
+
+        monkeypatch.setattr(parametric, "_lengths", counted)
+        for n in ns:
+            calls.clear()
+            chk = verify_fast_apery(family, n)
+            failing = [e for e, _ in chk.singleton_failures]
+            assert calls == failing == enumerated.get(n, []), n
 
     def test_extreme_table_budget(self, monkeypatch):
         fam = LinearFamily.normalize((1, 1, 1), (0, 4, 6))

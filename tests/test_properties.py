@@ -42,7 +42,7 @@ from numsgps import (
     weighted_delta_profile,
 )
 from numsgps.factorizations import _components
-from numsgps.weighted import _extreme_lengths, _lengths
+from numsgps.weighted import _extreme_lengths, _ideal_extremes, _lengths
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
 small_generators = st.lists(st.integers(2, 15), min_size=1, max_size=4, unique=True)
@@ -353,6 +353,41 @@ def test_closed_form_apery_set_matches_direct(fam):
 
 
 @st.composite
+def unit_weight_members(draw):
+    """A unit_weight_families family with an n in 2..apery_bound + 6."""
+    fam = draw(unit_weight_families())
+    return fam, draw(st.integers(2, fam.apery_bound + 6))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(unit_weight_members())
+@example((LinearFamily.normalize((1, 1, 1), (0, 1, 6)), 7))  # 40 is outside the direct Apery set
+@example((LinearFamily.normalize((1, 1, 1), (0, 1, 6)), 9))  # 30, 40 and 50 have two lengths
+def test_singleton_failures_match_the_enumerated_oracle(member):
+    # n on both sides of apery_bound: the one-pass singleton check neither
+    # hides a failure nor invents one.  The oracle rebuilds the mapped
+    # elements a + m_w(a) n from Ap(S; dn) by reachability, S the semigroup of
+    # the positive offsets, and reads their length sets in P_n bottom up
+    fam, n = member
+    gens = [r for r in fam.r if r]
+    ws = [w for w, r in zip(fam.w, fam.r) if r]
+    d = gcd(*gens)
+    top = d * (n + max(gens) ** 2)
+    members = brute_members(gens, top)
+    frobenius = max((x for x in range(0, top, d) if x not in members), default=-d)
+    assume(gcd(n, d) == 1 and d * n > frobenius and len(set(fam.generators(n))) == fam.k)
+    least: dict[int, int] = {}
+    for x in sorted(members):
+        least.setdefault(x % (d * n), x)
+    apery = [least[d * i] for i in range(n)]
+    inner = brute_weighted_length_sets(gens, ws, max(apery))
+    mapped = {a + int(min(inner[a])) * n: min(inner[a]) for a in apery}
+    outer = brute_weighted_length_sets(fam.generators(n), fam.w, max(mapped))
+    want = tuple((e, tuple(sorted(outer[e]))) for e, mw in sorted(mapped.items()) if outer[e] != {mw})
+    assert verify_fast_apery(fam, n).singleton_failures == want, (fam, n)
+
+
+@st.composite
 def linear_families(draw):
     """Non-degenerate linear families of 2-4 generators with weights in 1..3
     and offsets in 0..4."""
@@ -421,6 +456,13 @@ def test_extreme_lengths_match_the_enumerated_oracle(gens, scale, weights):
     for t, lengths in enumerate(table):
         if lengths:
             assert _extreme_lengths(S, t, iw) == (min(lengths), max(lengths)), t
+    # the one-pass form over two order ideals of S: every t up to the table's
+    # bound (non-elements get no entry), and an Apery set
+    for ideal in (range(len(table)), sorted(S.apery_set(S.generators[-1]))):
+        hi, lo = _ideal_extremes(S, iw, ideal)
+        for t in (t for t in ideal if t < len(table)):
+            want = (min(table[t]), max(table[t])) if table[t] else (None, None)
+            assert (lo.get(t), hi.get(t)) == want, t
     for t in [-1, *(t for t, lengths in enumerate(table) if not lengths)]:
         with pytest.raises(ValueError) as want:
             _lengths(S, t, iw)
