@@ -23,7 +23,6 @@ from .weighted import (
     _check_extremes_budget,
     _extreme_lengths,
     _extremes,
-    _ideal_extremes,
     _lengths,
 )
 
@@ -439,10 +438,10 @@ class FastAperyCheck:
     """Closed-form Apery set of the member at n versus the direct one.
 
     ``singleton_failures`` lists each mapped element e = i + m_w(i) n whose
-    weighted length set in P_n is not {m_w(i)}, with the whole set.  The
-    extremes of every element come from one pass over Ap(P_n; n) (see
-    :func:`verify_fast_apery`); Z(e) is enumerated only for an element that
-    fails."""
+    weighted length set in P_n is not {m_w(i)}, with the whole set.  m_w
+    and the extremes of every element come from one pass each over two order
+    ideals, Ap(S; dn) and Ap(P_n; n) (see :func:`verify_fast_apery`); Z(e)
+    is enumerated only for an element that fails."""
 
     n: int
     apery_bound: int
@@ -468,14 +467,16 @@ def verify_fast_apery(family: LinearFamily, n: int) -> FastAperyCheck:
     the directly computed Ap(P_n; n); also check that each mapped element's
     weighted length set in P_n is the predicted singleton {m_w(i)}.
 
-    P_n = <n, w_2 n + r_2, ..., w_k n + r_k> has gcd gcd(n, r_2, ..., r_k) =
-    gcd(n, d) = 1, so Ap(P_n; n) has n elements, one per class mod n.  No
-    factorization of an e in it uses g_1 = n, which would put e - n in P_n,
-    and each generator g it does use leaves e - g in Ap(P_n; n) (it is an
-    order ideal).  So Z(e) is the union of Z(e - g) + e_g over the
-    generators g with e - g in Ap(P_n; n), and the singleton check reads the
-    min and max weighted length of every element off one ascending pass over
-    it (``weighted._ideal_extremes``).  A mapped element passes when both
+    Both halves read extreme weighted lengths off one ascending pass over an
+    order ideal (``weighted._extremes``).  m_w(i) is the min over Ap(S; dn)
+    of the inner semigroup S, an order ideal of S.  P_n = <n, w_2 n + r_2,
+    ..., w_k n + r_k> has gcd gcd(n, r_2, ..., r_k) = gcd(n, d) = 1, so
+    Ap(P_n; n) has n elements, one per class mod n.  No factorization of an e
+    in it uses g_1 = n, which would put e - n in P_n, and each generator g it
+    does use leaves e - g in Ap(P_n; n) (it is an order ideal of P_n).  So
+    Z(e) is the union of Z(e - g) + e_g over the generators g with e - g in
+    Ap(P_n; n), and the singleton check reads the min and max weighted length
+    of every element off the pass over it.  A mapped element passes when both
     equal m_w(i); only one that is not in the direct Apery set, or whose
     extremes disagree, enumerates Z(e), as its report prints the whole set."""
     S, ws = _inner_semigroup(family)
@@ -485,11 +486,12 @@ def verify_fast_apery(family: LinearFamily, n: int) -> FastAperyCheck:
             f"gcd(n, {d}) must be 1: the member at n={n} has gcd {gcd(n, d)} and its "
             f"Apery set at n has fewer than n elements"
         )
-    # the n elements of Ap(S; dn) are multiples of d distinct mod dn, so the
-    # largest, the tables' limit, is at least d (n - 1): check that first
+    # each pass below keeps n entries, one per Apery element, and the n
+    # elements of Ap(S; dn) are multiples of d distinct mod dn, so n <=
+    # d (n - 1) + 1: check that bound before Ap(S; dn) is built
     _check_extremes_budget(d * (n - 1))
     ap = apery_at_multiple(S, n)
-    _, lo = _extremes(S, ws, ap.max_element())
+    _, lo = _extremes(S, ws, sorted(ap.elements))
     P = family.instantiate(n)
     min_lengths = {a + lo[a] * n: lo[a] for a in ap.elements}
     elements: list[int | None] = [None] * n
@@ -498,7 +500,7 @@ def verify_fast_apery(family: LinearFamily, n: int) -> FastAperyCheck:
     if any(e is None for e in elements):
         raise VerificationError("mapped Apery elements collide modulo n")
     direct = P.apery_set(n)
-    hi, lo = _ideal_extremes(P, family.w, sorted(direct.elements))
+    hi, lo = _extremes(P, family.w, sorted(direct.elements))
     failures = []
     for e, mw in sorted(min_lengths.items()):
         if lo.get(e) == mw == hi.get(e):

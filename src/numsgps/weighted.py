@@ -31,8 +31,10 @@ DELTA_PROFILE_BUDGET = 10**5
 # semigroup containing 1 already may.
 DELTA_MASK_BUDGET = 10**5
 # Most entries (limit + 1) of the extreme length tables, checked before they
-# are allocated: about 80 bytes an entry as ints and 256 as the Fractions of
-# ``weighted_extreme_tables`` (tracemalloc at 4 * 10**5), 0.26 GB at the budget.
+# are allocated.  Peak tracemalloc on <6, 9, 20>, w = (3, 1, 4), at 4 * 10**5:
+# about 215 bytes an entry for the int dicts of ``verify_weighted_recurrences``
+# and 377 for ``weighted_extreme_tables``, whose Fraction lists sit beside
+# them, so 0.38 GB at the budget.
 EXTREME_TABLE_BUDGET = 10**6
 
 
@@ -237,40 +239,19 @@ def _check_extremes_budget(limit: int) -> None:
         )
 
 
-def _extremes(S: Semigroup, iw, limit: int) -> tuple[list, list]:
-    """DP tables of the max and min integer length z . iw for every element
-    0..limit; None at non-elements."""
-    _check_extremes_budget(limit)
-    hi: list[int | None] = [None] * (limit + 1)
-    lo: list[int | None] = [None] * (limit + 1)
-    if limit >= 0:
-        hi[0] = lo[0] = 0
-    for t in range(S.d, limit + 1, S.d):
-        best_hi = best_lo = None
-        for g, wi in zip(S.generators, iw):
-            if t >= g and hi[t - g] is not None:
-                cand = hi[t - g] + wi
-                if best_hi is None or cand > best_hi:
-                    best_hi = cand
-                cand = lo[t - g] + wi
-                if best_lo is None or cand < best_lo:
-                    best_lo = cand
-        hi[t] = best_hi
-        lo[t] = best_lo
-    return hi, lo
-
-
-def _ideal_extremes(S: Semigroup, iw, elements) -> tuple[dict, dict]:
-    """The sparse form of :func:`_extremes`: dicts of the max and min integer
-    length z . iw of each of ``elements``, ascending, whose members in S form
-    an order ideal of S: 0 and, with each e, every e - s for s in S.  An
-    Apery set is one, as e - s - m in S would put e - m in S.
+def _extremes(S: Semigroup, iw, elements) -> tuple[dict, dict]:
+    """Dicts of the max and min integer length z . iw of each of
+    ``elements``, ascending, whose members in S form an order ideal of S: 0
+    and, with each e, every e - s for s in S.  The multiples of d up to a
+    limit are one; an Apery set is another, as e - s - m in S would put
+    e - m in S.
 
     Every factorization of an e > 0 in S uses some generator g and leaves
     e - g in S, so among the members; so Z(e) is the union of Z(e - g) + e_g
-    over the generators g with e - g a member, and the recurrence of
-    :func:`_extremes` over the members alone is exact.  An element outside S
-    gets no entry."""
+    over the generators g with e - g a member, and hi[e] = max_g hi[e - g] +
+    w_g (lo likewise with min) over the members alone is exact.  An element
+    outside S gets no entry; 0 always has one.  The caller checks
+    :func:`_check_extremes_budget` first."""
     hi, lo = {0: 0}, {0: 0}
     steps = list(zip(S.generators, iw))
     for e in elements:
@@ -294,9 +275,11 @@ def weighted_extreme_tables(S: Semigroup, w, limit: int):
     """DP tables of the max and min weighted length for every element
     0..limit; None at non-elements.  Returns (max_table, min_table)."""
     _, iw, den = _scaled(S, w)
+    _check_extremes_budget(limit)
+    hi, lo = _extremes(S, iw, range(S.d, limit + 1, S.d))
     conv = lambda v: None if v is None else Fraction(v, den)
-    hi, lo = _extremes(S, iw, limit)
-    return [conv(v) for v in hi], [conv(v) for v in lo]
+    span = range(limit + 1)
+    return [conv(hi.get(t)) for t in span], [conv(lo.get(t)) for t in span]
 
 
 @dataclass(frozen=True)
@@ -331,17 +314,15 @@ def verify_weighted_recurrences(S: Semigroup, w, horizon: int) -> WeightedRecurr
     if horizon <= threshold:
         raise ValueError(f"horizon {horizon} must exceed {threshold} (largest generator squared)")
     order = w_ordering(S, ws)
-    hi, lo = _extremes(S, iw, horizon)
+    _check_extremes_budget(horizon)
+    hi, lo = _extremes(S, iw, range(S.d, horizon + 1, S.d))
 
     def scan(table, idx) -> RecurrenceCheck:
         g = S.generators[idx]
         wt = iw[idx]
         largest = None
-        for t in range(0, horizon + 1, S.d):
-            if table[t] is None:
-                continue
-            prev = table[t - g] if t >= g else None
-            if prev is None or table[t] != prev + wt:
+        for t, v in table.items():  # ascending: the pass inserts in order
+            if table.get(t - g) != v - wt:
                 largest = t
         if largest is not None and largest > threshold:
             raise RuntimeError(

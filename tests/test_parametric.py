@@ -518,8 +518,9 @@ class TestFastApery:
             assert calls == failing == enumerated.get(n, []), n
 
     def test_extreme_table_budget(self, monkeypatch):
+        # the check is on d (n - 1), a bound on the entries of each pass
         fam = LinearFamily.normalize((1, 1, 1), (0, 4, 6))
-        limit = apery_at_multiple(Semigroup([4, 6]), 37).max_element()
+        limit = 2 * (37 - 1)
         monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit + 1)
         assert verify_fast_apery(fam, 37).ok
         monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit)

@@ -39,10 +39,11 @@ from numsgps import (
     transport_presentation,
     verify_fast_apery,
     verify_minimal_presentation,
+    verify_weighted_recurrences,
     weighted_delta_profile,
 )
 from numsgps.factorizations import _components
-from numsgps.weighted import _extreme_lengths, _ideal_extremes, _lengths
+from numsgps.weighted import _extreme_lengths, _extremes, _lengths
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
 small_generators = st.lists(st.integers(2, 15), min_size=1, max_size=4, unique=True)
@@ -456,10 +457,10 @@ def test_extreme_lengths_match_the_enumerated_oracle(gens, scale, weights):
     for t, lengths in enumerate(table):
         if lengths:
             assert _extreme_lengths(S, t, iw) == (min(lengths), max(lengths)), t
-    # the one-pass form over two order ideals of S: every t up to the table's
-    # bound (non-elements get no entry), and an Apery set
+    # the pass over two order ideals of S: every t up to the table's bound
+    # (non-elements get no entry), and an Apery set
     for ideal in (range(len(table)), sorted(S.apery_set(S.generators[-1]))):
-        hi, lo = _ideal_extremes(S, iw, ideal)
+        hi, lo = _extremes(S, iw, ideal)
         for t in (t for t in ideal if t < len(table)):
             want = (min(table[t]), max(table[t])) if table[t] else (None, None)
             assert (lo.get(t), hi.get(t)) == want, t
@@ -469,6 +470,55 @@ def test_extreme_lengths_match_the_enumerated_oracle(gens, scale, weights):
         with pytest.raises(ValueError) as got:
             _extreme_lengths(S, t, iw)
         assert str(got.value) == str(want.value)
+
+
+def largest_recurrence_failure(table, g, wt, pick):
+    """The largest t whose extreme length pick(table[t]) is not that of
+    t - g plus wt (t - g not an element, or t < g, counts as a failure);
+    None when there is none."""
+    extreme = [pick(ls) if ls else None for ls in table]
+    failures = [
+        t for t, v in enumerate(extreme)
+        if v is not None and (t < g or extreme[t - g] is None or v != extreme[t - g] + wt)
+    ]
+    return max(failures, default=None)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(2, 9), min_size=1, max_size=4, unique=True),
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.builds(Fraction, st.integers(-3, 5), st.integers(1, 2)), min_size=4, max_size=4),
+    st.integers(1, 30),
+)
+@example([3, 5], 2, [Fraction(0), Fraction(-1), 0, 0], 7)
+def test_recurrence_failures_match_the_enumerated_oracle(gens, scale, weights, extra):
+    # any order, any gcd, zero, negative and fractional weights
+    S = Semigroup([scale * g for g in gens], keep_order=True)
+    w = weights[: S.k]
+    threshold = max(S.generators) ** 2
+    horizon = threshold + extra
+    table = brute_weighted_length_sets(S.generators, w, horizon)
+    ratio = lambda i: w[i] / S.generators[i]
+    first = min(range(S.k), key=lambda i: (-ratio(i), S.generators[i]))
+    last = min(range(S.k), key=lambda i: (ratio(i), S.generators[i]))
+    want = [
+        (S.generators[i], w[i], largest_recurrence_failure(table, S.generators[i], w[i], pick))
+        for i, pick in ((first, max), (last, min))
+    ]
+    if any(f is not None and f > threshold for _, _, f in want):
+        with pytest.raises(RuntimeError, match=f"fails at .* > {threshold}"):
+            verify_weighted_recurrences(S, w, horizon)
+        return
+    report = verify_weighted_recurrences(S, w, horizon)
+    got = [
+        (side.step, side.weight, side.largest_failure)
+        for side in (report.max_side, report.min_side)
+    ]
+    assert got == want
+    for side in (report.max_side, report.min_side):
+        f = side.largest_failure
+        assert side.holds_from == (0 if f is None else f + 1)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
