@@ -4,10 +4,15 @@ presentations.
 A factorization of t is an exponent vector z with z . generators = t; all
 functions here bind exponent vectors to ``S.generators`` order.  Components of
 factorization graphs come from one kernel, :func:`_components`, which labels
-the generators of a whole batch of elements with numpy.  The Betti search runs
-it over all Apery candidates, a fixed-size chunk at a time, and caches the
-labels of each Betti element; factorization graphs, minimal presentations and
-the presentation verifier read them there, and run the kernel on a batch of one
+the generators of a whole batch of elements with numpy.  The Betti search
+screens the Apery candidates t = w + g (w in Ap(S; g_1), g another generator)
+and runs the kernel on those it keeps, a fixed-size batch at a time.  The
+screen keeps t when some generator h other than g has t - h in S but w - h
+not, and it drops no Betti element: g is available (t - g = w), and a
+disconnected graph has an available h in another component, not adjacent to
+g, so with w - h = t - g - h outside S.  The search caches the labels of each
+Betti element; factorization graphs, minimal presentations and the
+presentation verifier read them there, and run the kernel on a batch of one
 at any other element.  Minimal presentations enumerate nothing: each
 component's least member is the least factorization over that component's own
 generators, found greedily by :func:`_least`.
@@ -102,12 +107,14 @@ def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
     return FactorizationGraphSummary(t, tuple(tuple(g) for g in groups.values()))
 
 
-# Betti candidates per kernel call, at most (residues are taken whole, k - 1
-# candidates each).  The kernel's temporaries are k x k x BETTI_CHUNK arrays,
-# so a search holds O(BETTI_CHUNK k^2) beyond the residue table at any
-# multiplicity.  A chunk takes BETTI_CHUNK // k + 1 residues, 257 at k = 4:
+# Residues per screen step of the Betti search, and candidates per kernel call,
+# at most.  The screen's temporaries are k x k x BETTI_CHUNK arrays, as are the
+# kernel's, and kept candidates wait in one buffer of under k BETTI_CHUNK, so a
+# search holds O(BETTI_CHUNK k^2) beyond the residue table at any multiplicity.
 # EX53's members <3n+1, 4n+2, 6n+4, 9n+6> at n = 100..524 (m = 301..1573) take
-# 2-7 chunks, and those of w = (1, 2, 3, 3), r = (0, 1, 4, 6) at n = 109..306, 1-2.
+# 1-2 screen steps and keep 11.6-13.5% of their 3m candidates (528 of 4,557 at
+# n = 506), and those of w = (1, 2, 3, 3), r = (0, 1, 4, 6) at n = 109..306
+# take one and keep 28.8-30.9%: one kernel call each.
 BETTI_CHUNK = 1024
 
 
@@ -176,25 +183,44 @@ def _component_lookup(S: Semigroup, t: int):
 
 def _betti_search(S: Semigroup) -> dict[int, tuple[int, ...]]:
     """Betti elements of S mapped to their component labels (see
-    :func:`betti_elements` and :func:`_components`), ascending.  The
-    candidates w + g, w in the residue table (Ap(S; g_1) divided by d) and g
-    a reduced generator other than the smallest, go through the kernel
-    BETTI_CHUNK at a time.  A repeated candidate repeats its labels, so only
-    the hits are deduplicated and sorted."""
+    :func:`betti_elements` and :func:`_components`), ascending.
+
+    The candidates are t = w + g, w in the residue table (Ap(S; g_1) divided
+    by d) and g a reduced generator other than the smallest.  The screen of
+    :func:`betti_elements` keeps t when some generator h other than g has
+    t - h in S and w - h not: g is available (t - g = w) and adjacent to each
+    h with t - g - h = w - h in S, so a dropped t is connected.  Its
+    memberships follow the rule of :meth:`Semigroup.contains` on one k x k
+    array per BETTI_CHUNK residues w: row 0 holds w - h for every h and the
+    row of g holds t - h = w + g - h, except at h = g, where it holds w - g
+    like row 0, so that "in S in the row of g, not in row 0" fails there.
+    Kept candidates go through the kernel BETTI_CHUNK at a time as they
+    come.  A repeated candidate repeats its labels, so only the hits are
+    deduplicated and sorted."""
     import numpy as np
 
     gens = S._reduced
     tab = S._residue_table
     m = len(tab)
-    others = np.array([g for g in gens if g != m], dtype=tab.dtype)[:, None]
+    others = [g for g in gens if g != m]
+    shifts = np.array(
+        [(g if h != g else 0) - h for g in [0] + others for h in gens], dtype=tab.dtype
+    ).reshape(S.k, S.k, 1)
+    steps = np.array(others, dtype=tab.dtype)[:, None]
     own = np.arange(S.k)[:, None]
-    step = BETTI_CHUNK // S.k + 1  # residues per chunk, each with k - 1 candidates
     hits = {}
-    for start in range(0, m, step):
-        ts = (tab[start:start + step] + others).ravel()
-        labels = _components(tab, ts, gens)
-        found = np.flatnonzero((labels == own).sum(axis=0) > 1)
-        hits.update(zip(ts[found].tolist(), map(tuple, labels[:, found].T.tolist())))
+    kept = tab[:0]
+    for start in range(0, m, BETTI_CHUNK):
+        w = tab[start:start + BETTI_CHUNK]
+        x = w + shifts
+        member = x >= tab[(x - x // m * m).astype(np.intp, copy=False)]
+        kept = np.concatenate((kept, (w + steps)[(member[1:] > member[0]).any(axis=1)]))
+        last = start + BETTI_CHUNK >= m
+        while len(kept) >= BETTI_CHUNK or (last and len(kept)):
+            ts, kept = kept[:BETTI_CHUNK], kept[BETTI_CHUNK:]
+            labels = _components(tab, ts, gens)
+            found = np.flatnonzero((labels == own).sum(axis=0) > 1)
+            hits.update(zip(ts[found].tolist(), map(tuple, labels[:, found].T.tolist())))
     return {S.d * t: hits[t] for t in sorted(hits)}
 
 
@@ -210,6 +236,15 @@ def betti_elements(S: Semigroup) -> dict[int, int]:
     generator g_i in its support.  If b - g_i - g_1 were in S, a factorization
     using both g_i and g_1 would join z to the g_1 component; so b - g_i is in
     Ap(S; g_1).
+
+    A screen then drops candidates that cannot be Betti elements: t = w + g
+    is kept only when some generator h other than g has t - h in S and
+    w - h not in S.  In the graph on the available generators (h with t - h
+    in S, adjacent when t - g - h is in S, see :func:`_components`), g is
+    available because t - g = w is in S, and h is adjacent to g exactly when
+    w - h = t - g - h is in S.  A dropped t therefore has every available
+    generator adjacent to g, one component.  A kept t goes through the
+    kernel as before, so the Betti set and every label are unchanged.
 
     The search runs once per instance and caches each Betti element's
     component labels on it; the multiplicities are read from those, into a

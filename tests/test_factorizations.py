@@ -270,21 +270,45 @@ class TestBettiElements:
         assert verify_minimal_presentation(S, rels) == []
         assert [r.degree for r in minimal_presentation(Semigroup([3 * D, 5 * D]))] == [15 * D]
 
-    def test_search_memory_is_bounded_in_chunks(self):
-        # (k - 1) m = 400,012 candidates: held at once, the kernel's k x k
-        # arrays would take about 29 MB each; in chunks the search holds the
-        # residue table as an int64 array (8 bytes a class) and O(chunk k^2)
+    @staticmethod
+    def search_in_chunks(offsets, monkeypatch):
+        """betti_elements on <m, m + offsets...> at m = 200,003, its residue
+        table built outside the trace: checks that the search peaks under
+        8m + 2**20 bytes and feeds the kernel at most BETTI_CHUNK candidates
+        at a time, and returns the share of the (k - 1) m candidates it
+        feeds it.  The kernel is wrapped to count sizes only, so that no
+        batch outlives its call."""
         m = 200_003
-        S = Semigroup([m, m + 6, m + 14])
-        table = S._residue_table  # built outside the trace
+        S = Semigroup([m] + [m + o for o in offsets])
+        assert len(S._residue_table) == m
+        module = importlib.import_module("numsgps.factorizations")
+        kernel, sizes = module._components, []
+
+        def counted(tab, ts, gens):
+            sizes.append(len(ts))
+            return kernel(tab, ts, gens)
+
+        monkeypatch.setattr(module, "_components", counted)
         tracemalloc.start()
         try:
             betti_elements(S)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(table) == m
         assert peak < 8 * m + 2**20
+        assert max(sizes) <= module.BETTI_CHUNK
+        return sum(sizes) / (len(offsets) * m)
+
+    def test_search_memory_is_bounded_in_chunks(self, monkeypatch):
+        # (k - 1) m = 400,006 candidates: held at once, the kernel's k x k
+        # arrays would take about 29 MB each; in chunks the search holds the
+        # residue table as an int64 array (8 bytes a class) and O(chunk k^2)
+        assert self.search_in_chunks((6, 14), monkeypatch) < 0.1
+
+    def test_search_memory_is_bounded_when_most_candidates_survive(self, monkeypatch):
+        # the screen keeps 550,013 of the 800,012 candidates here, 4.4 MB as
+        # int64: they must stream through the kernel in batches, not pile up
+        assert self.search_in_chunks((1, 2, 3, 4), monkeypatch) > 0.6
 
     def test_fresh_dict_per_call(self):
         S = Semigroup([6, 9, 20])

@@ -1,8 +1,10 @@
 """Derandomized property tests (hypothesis) against the oracles in oracles.py."""
 
+import importlib
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from numsgps import (
     verify_weighted_recurrences,
     weighted_delta_profile,
 )
-from numsgps.factorizations import _components
+from numsgps.factorizations import BETTI_CHUNK, _betti_search, _components
 from numsgps.weighted import _extreme_lengths, _extremes, _lengths
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
@@ -127,6 +129,75 @@ def test_cached_component_labels_match_oracle_and_a_fresh_kernel_call(gens, scal
         assert factorization_graph(S, beta).components == brute_components(table[beta]), beta
         fresh = _components(S._residue_table, np.array([beta // S.d]), S._reduced)
         assert list(labels) == fresh[:, 0].tolist(), beta
+
+
+def unscreened_betti_search(S):
+    """The Betti search with no screen: the kernel on all (k - 1) m candidates
+    w + g at once.  Returns (Betti elements mapped to their labels, as
+    _betti_search gives them; the candidates; which are disconnected)."""
+    tab, gens = S._residue_table, S._reduced
+    others = np.array([g for g in gens if g != len(tab)], dtype=tab.dtype)
+    ts = (tab + others[:, None]).ravel()
+    labels = _components(tab, ts, gens)
+    apart = (labels == np.arange(S.k)[:, None]).sum(axis=0) > 1
+    hits = dict(zip(ts[apart].tolist(), map(tuple, labels[:, apart].T.tolist())))
+    return {S.d * t: hits[t] for t in sorted(hits)}, ts, apart
+
+
+def screened_batches(S):
+    """(_betti_search(S), the batches it hands the component kernel)."""
+    module = importlib.import_module("numsgps.factorizations")
+    with mock.patch.object(module, "_components", wraps=_components) as kernel:
+        found = _betti_search(S)
+    return found, [call.args[1] for call in kernel.call_args_list]
+
+
+def assert_screen_is_exact(S):
+    want, ts, apart = unscreened_betti_search(S)
+    found, batches = screened_batches(S)
+    assert all(len(batch) <= BETTI_CHUNK for batch in batches)
+    seen = set(np.concatenate([ts[:0], *batches]).tolist())
+    assert set(ts[apart].tolist()) <= seen  # no disconnected candidate is screened out
+    assert found == want
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3000),
+    st.lists(st.integers(1, 3000), min_size=1, max_size=5, unique=True),
+    st.sampled_from([1, 2, 3]),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@example(1519, [507, 1521, 3041], 1, False, None)  # EX53 at n = 506
+@example(6, [3, 14], 3, True, None)  # <6, 9, 20> scaled by 3, supplied order
+def test_screened_betti_search_equals_the_unscreened_kernel(m, offsets, scale, keep, rng):
+    # past the brute oracle's reach (smallest reduced generator up to 3,000):
+    # the screen drops no disconnected candidate, and the search gives the
+    # kernel's own labels on all (k - 1) m candidates
+    gens = [scale * g for g in [m] + [m + o for o in offsets]]
+    if rng is not None:
+        rng.shuffle(gens)
+    assert_screen_is_exact(Semigroup(gens, keep_order=keep))
+
+
+def test_screened_betti_search_equals_the_unscreened_kernel_past_2_64():
+    # generators past 2**64 over a small multiplicity, times 3: the residue
+    # table and every candidate hold Python ints (the object width)
+    S = Semigroup([3 * g for g in (7, 2**64 + 3, 2**64 + 10, 2**64 + 26)], keep_order=True)
+    assert S._residue_table.dtype == object and S.d == 3
+    assert_screen_is_exact(S)
+    assert len(S._betti) > 1
+
+
+def test_screen_keeps_under_a_quarter_of_the_ex53_candidates_at_506():
+    # EX53 at n = 506 has 3 * 1519 = 4,557 candidates; the kernel sees 528
+    S = Semigroup([1519, 2026, 3040, 4560])
+    want, ts, _ = unscreened_betti_search(S)
+    found, batches = screened_batches(S)
+    assert len(ts) == 4557
+    assert sum(map(len, batches)) <= len(ts) // 4
+    assert found == want
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
