@@ -63,7 +63,7 @@ def _emit(payload: dict, rows, args) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for key, value in rows:
-            writer.writerow([key, _cell(value, ";", None)])
+            writer.writerow([key, _cell(value, ";", "")])
         sys.stdout.write(buf.getvalue())
         return
     width = max((len(str(k)) for k, _ in rows), default=0)
@@ -255,6 +255,7 @@ def cmd_family_verify_betti(args) -> int:
         ("delta", rep.delta),
         ("guaranteed regime", rep.in_guaranteed_regime),
     ] + [(f"{src}", f"-> {dst}") for src, dst in rep.mapping]
+    rows += [(f"anomaly {beta}", lengths) for beta, lengths in rep.anomalies]
     _emit(payload, rows, args)
     return EXIT_REGIME_MISMATCH if (not ok and rep.in_guaranteed_regime) else EXIT_OK
 

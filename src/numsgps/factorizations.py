@@ -2,25 +2,31 @@
 presentations.
 
 A factorization of t is an exponent vector z with z . generators = t; all
-functions here bind exponent vectors to ``S.generators`` order.  Components of
-factorization graphs come from one kernel, :func:`_components`, which labels
-the generators of a whole batch of elements with numpy.  The Betti search
-screens the Apery candidates t = w + g (w in Ap(S; g_1), g another generator)
-and runs the kernel on those it keeps, a fixed-size batch at a time.  The
-screen keeps t when some generator h other than g has t - h in S but w - h
-not, and it drops no Betti element: g is available (t - g = w), and a
-disconnected graph has an available h in another component, not adjacent to
-g, so with w - h = t - g - h outside S.  The search caches the labels of each
-Betti element; factorization graphs, minimal presentations and the
-presentation verifier read them there, and run the kernel on a batch of one
-at any other element.  Minimal presentations enumerate nothing: each
-component's least member is the least factorization over that component's own
+functions here bind exponent vectors to ``S.generators`` order.  The
+enumerator and the branch and bound of extreme lengths walk one recursion,
+pruned by the prefix tables of :func:`_build_prefix_tables`, which nothing
+else reads.  Components of factorization graphs come from one kernel,
+:func:`_components`, which labels the generators of a whole batch of
+elements with numpy.
+
+The Betti search screens the Apery candidates t = w + g (w in Ap(S; g_1), g
+another generator) and runs the kernel on those it keeps, a batch at a time.
+The screen lemma: keeping t only when some generator h other than g has
+t - h in S but w - h not drops no Betti element.  In the graph on the
+available generators (h with t - h in S, adjacent when t - g - h is in S),
+g is available as t - g = w is in S, and h is adjacent to g iff w - h is in
+S; so a dropped t has every available generator adjacent to g, one
+component.  The search caches each Betti element's labels; graphs, minimal
+presentations and the verifier read them there, and run the kernel on a
+batch of one at any other element.  Minimal presentations enumerate nothing:
+each component's least member is the least factorization over its own
 generators, found greedily by :func:`_least`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from math import gcd
 
 from .semigroup import Semigroup
@@ -60,29 +66,40 @@ class FactorizationGraphSummary:
         return len(self.components) - 1
 
 
+def _build_prefix_tables(S: Semigroup) -> tuple[tuple[int, int, int, list[int] | None], ...]:
+    """One level (position, g_i, e, tab) per reduced generator g_i, ascending:
+    e and tab are the gcd of the generators below g_i and the round robin's
+    table modulo the smallest, m, after their passes, as Python ints (0, None
+    at level 0).  The reach rule: they reach a remainder r iff r % e == 0 and
+    r >= tab[r % m].  The gcd test stays because off the multiples of e, tab
+    holds the round robin's sentinel, which r can exceed."""
+    gens, order = zip(*sorted(zip(S._reduced, range(S.k))))
+    passes = islice(S._round_robin(gens[0], gens), S.k - 1)
+    tables = [None] + [tab.tolist() for tab in passes]
+    return tuple(zip(order, gens, [0, *accumulate(gens, gcd)], tables))
+
+
 def factorizations(S: Semigroup, t: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors z >= 0 with z . generators = t, sorted; empty iff t is not in S.
 
-    In reduced units, recursion assigns the largest generator first and prunes
-    a remainder r the smaller ones cannot reach: with e their gcd and tab their
-    table in ``S._prefix_tables`` (modulo the smallest, m), they reach r iff
-    r % e == 0 and r >= tab[r % m]; off the multiples of e, tab is the sentinel.
+    In reduced units, recursion assigns the largest generator first and
+    skips every remainder the smaller ones cannot reach, by the reach rule
+    of :func:`_build_prefix_tables`.
     """
     if t < 0 or not S.contains(t):
         return ()
-    passes = S._prefix_tables
-    m = passes[0][1]
+    levels = S._prefix_tables
+    m = levels[0][1]
     out = []
     vec = [0] * S.k
 
     def rec(i: int, r: int) -> None:
         # r is reachable by the i + 1 smallest generators
-        pos, g, _, _ = passes[i]
+        pos, g, e, tab = levels[i]
         if i == 0:
             vec[pos] = r // g
             out.append(tuple(vec))
         else:
-            _, _, e, tab = passes[i - 1]
             for rest in range(r % g, r + 1, g):
                 if rest % e == 0 and rest >= tab[rest % m]:
                     vec[pos] = (r - rest) // g
@@ -91,6 +108,59 @@ def factorizations(S: Semigroup, t: int) -> tuple[tuple[int, ...], ...]:
 
     rec(S.k - 1, t // S.d)
     return tuple(sorted(out))
+
+
+def _extreme_lengths(S: Semigroup, t: int, iw) -> tuple[int, int]:
+    """(min, max) integer length z . iw over Z(t); t must be an element.
+
+    The maximum is a branch and bound over the recursion of
+    :func:`factorizations`: the largest generator first, remainders pruned by
+    ``S._prefix_tables``; the minimum is minus the maximum under -iw.  A
+    remainder rest left to the generators below g has every length at most
+    rest * w_j / g_j, w_j / g_j the largest of their ratios (each count c_j
+    adds c_j g_j to rest and c_j w_j to the length).  So with acc the length
+    of the counts fixed so far and r the remainder before g (weight w), every
+    length through rest is at most acc + (r - rest) / g * w + floor(rest *
+    w_j / g_j), whose slope in rest is w_j / g_j - w / g.  The loop over rest
+    walks in the direction in which this bound only falls, so it stops at the
+    first rest whose bound cannot beat the best length found.
+    """
+    if t < 0 or not S.contains(t):
+        raise ValueError(f"{t} is not an element of {S!r}")
+    x = t // S.d
+    return -_max_length(S, x, [-v for v in iw]), _max_length(S, x, iw)
+
+
+def _max_length(S: Semigroup, x: int, iw) -> int:
+    """The largest z . iw over the factorizations z of the reduced element x
+    (see :func:`_extreme_lengths`)."""
+    levels, top = [], None
+    for pos, g, e, tab in S._prefix_tables:
+        w = iw[pos]
+        levels.append((g, w, top, e, tab))
+        if top is None or w * top[1] > top[0] * g:
+            top = w, g
+    return _best(levels, levels[0][0], len(levels) - 1, x, 0, None)
+
+
+def _best(levels, m: int, i: int, r: int, acc: int, best):
+    """The larger of best (None: no length yet) and acc plus the largest
+    length of r over the i + 1 smallest generators, which reach r.  Level i
+    holds g_i, w_i, the largest ratio (w_j, g_j) among the generators below
+    it, and their gcd and table from ``S._prefix_tables``."""
+    g, w, top, e, tab = levels[i]
+    if i == 0:
+        length = acc + r // g * w
+        return length if best is None or length > best else best
+    wj, gj = top
+    rests = range(r, r % g - 1, -g) if wj * g > w * gj else range(r % g, r + 1, g)
+    for rest in rests:
+        c = (r - rest) // g
+        if best is not None and acc + c * w + rest * wj // gj <= best:
+            break
+        if rest % e == 0 and rest >= tab[rest % m]:
+            best = _best(levels, m, i - 1, rest, acc + c * w, best)
+    return best
 
 
 def factorization_graph(S: Semigroup, t: int) -> FactorizationGraphSummary:
@@ -166,16 +236,16 @@ def _roots(labels) -> list[int]:
 
 def _component_lookup(S: Semigroup, t: int):
     """(the roots of t's components, z -> the root of the component holding
-    the factorization z); t = 0 has one empty component, root k.  Once the
-    Betti search has run, a Betti element's labels are read from its cache;
-    otherwise t runs the kernel on a batch of one, so a graph at one degree
-    never starts the whole search."""
+    the factorization z); t = 0 has one empty component and a t outside S
+    (negative too) none, both root k.  Once the Betti search has run, a Betti
+    element's labels are read from its cache; otherwise t runs the kernel on
+    a batch of one, so a graph at one degree never starts the whole search."""
     labels = vars(S).get("_betti", {}).get(t)
     if labels is None:
         import numpy as np
 
         x, gens = t // S.d, S._reduced
-        ts = np.array([x], dtype=object if x + 2 * max(gens) >= 2**63 else np.int64)
+        ts = np.array([x], dtype=object if abs(x) + 2 * max(gens) >= 2**63 else np.int64)
         labels = _components(S._residue_table, ts, gens)[:, 0].tolist()
     k = S.k
     return _roots(labels) or [k], lambda z: next((lab for c, lab in zip(z, labels) if c), k)
@@ -186,14 +256,12 @@ def _betti_search(S: Semigroup) -> dict[int, tuple[int, ...]]:
     :func:`betti_elements` and :func:`_components`), ascending.
 
     The candidates are t = w + g, w in the residue table (Ap(S; g_1) divided
-    by d) and g a reduced generator other than the smallest.  The screen of
-    :func:`betti_elements` keeps t when some generator h other than g has
-    t - h in S and w - h not: g is available (t - g = w) and adjacent to each
-    h with t - g - h = w - h in S, so a dropped t is connected.  Its
-    memberships follow the rule of :meth:`Semigroup.contains` on one k x k
-    array per BETTI_CHUNK residues w: row 0 holds w - h for every h and the
-    row of g holds t - h = w + g - h, except at h = g, where it holds w - g
-    like row 0, so that "in S in the row of g, not in row 0" fails there.
+    by d) and g a reduced generator other than the smallest, screened by the
+    lemma in the module docstring.  Its memberships follow the rule of
+    :meth:`Semigroup.contains` on one k x k array per BETTI_CHUNK residues w:
+    row 0 holds w - h for every h and the row of g holds t - h = w + g - h,
+    except at h = g, where it holds w - g like row 0, so that "in S in the
+    row of g, not in row 0" fails there.
     Kept candidates go through the kernel BETTI_CHUNK at a time as they
     come.  A repeated candidate repeats its labels, so only the hits are
     deduplicated and sorted."""
@@ -237,14 +305,8 @@ def betti_elements(S: Semigroup) -> dict[int, int]:
     using both g_i and g_1 would join z to the g_1 component; so b - g_i is in
     Ap(S; g_1).
 
-    A screen then drops candidates that cannot be Betti elements: t = w + g
-    is kept only when some generator h other than g has t - h in S and
-    w - h not in S.  In the graph on the available generators (h with t - h
-    in S, adjacent when t - g - h is in S, see :func:`_components`), g is
-    available because t - g = w is in S, and h is adjacent to g exactly when
-    w - h = t - g - h is in S.  A dropped t therefore has every available
-    generator adjacent to g, one component.  A kept t goes through the
-    kernel as before, so the Betti set and every label are unchanged.
+    A screen drops candidates that cannot be Betti elements (the screen
+    lemma in the module docstring), and the kernel labels the rest.
 
     The search runs once per instance and caches each Betti element's
     component labels on it; the multiplicities are read from those, into a
@@ -342,11 +404,9 @@ def verify_minimal_presentation(S: Semigroup, relations) -> list[str]:
     if want != got:
         problems.append(f"degree multiset {got} != Betti elements with multiplicity {want}")
 
-    # a side balancing at beta factors it iff no entry is negative
+    # a side balancing at beta factors it iff no entry is negative, so at a
+    # non-element every relation fails that test (and beta has root k alone)
     for beta, rels in sorted(by_degree.items()):
-        if not S.contains(beta):  # so every side has a negative entry
-            problems += [f"relation {r} uses a vector that does not factor {beta}" for r in rels]
-            continue
         roots, component = _component_lookup(S, beta)
         label = dict(zip(roots, roots))
         for rel in rels:

@@ -14,6 +14,7 @@ from math import gcd
 
 from .factorizations import (
     Relation,
+    _extreme_lengths,
     betti_elements,
     minimal_presentation,
     verify_minimal_presentation,
@@ -21,7 +22,6 @@ from .factorizations import (
 from .semigroup import AperySet, Semigroup
 from .weighted import (
     _check_extremes_budget,
-    _extreme_lengths,
     _extremes,
     _lengths,
 )
@@ -372,9 +372,9 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     ratios.  So the extremes alone decide the set's shape: every length is
     lam plus a multiple of delta/g, so a spread max - min of 0 is {lam} and
     one of delta/g is {lam, lam + delta/g}.  The extremes come from the
-    branch and bound of ``weighted._extreme_lengths``, and only an anomaly, a
-    set of any other spread (never above the transport bound), enumerates
-    Z(beta), as its report prints the whole set."""
+    branch and bound of ``factorizations._extreme_lengths``, and only an
+    anomaly, a set of any other spread (never above the transport bound),
+    enumerates Z(beta), as its report prints the whole set."""
     if family.is_degenerate:
         raise ValueError("degenerate family: period zero")
     delta = family_delta(family)

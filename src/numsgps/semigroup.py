@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
 from math import gcd
 
-# Largest modulus ``Semigroup._apery_table`` accepts, checked before anything is
+# Largest modulus ``Semigroup._round_robin`` accepts, checked before anything is
 # allocated.  An int64 table keeps 8 bytes per residue class and peaks at 32
 # while it is built (tracemalloc at m = 10**6: the index, ramp and gathered
 # arrays of one pass beside the table), so a table at the budget peaks near
@@ -151,25 +150,13 @@ class Semigroup:
                 del idx, ramp  # before the next pass allocates its own
             yield tab
 
-    def _apery_table(self, m: int):
-        """The Apery table modulo m of the reduced semigroup: the round robin's
-        numpy array (int64, or Python ints past its width rule)."""
-        *_, tab = self._round_robin(m, self._reduced)
-        return tab
-
     @cached_property
-    def _prefix_tables(self) -> tuple[tuple[int, int, int, list[int] | None], ...]:
-        """(position, g_i, e_i, tab_i) per reduced generator g_i, ascending: e_i =
-        gcd(g_1, ..., g_i), tab_i the round robin's table modulo g_1 after their
-        passes (sentinel off the multiples of e_i), as Python ints.  A reader
-        takes tab_i only to prune what is left to g_1, ..., g_i once g_{i+1} is
-        assigned, so nothing reads tab_k: the passes stop before the largest
-        generator, and tab_k is None.  Only factorizations() and the
-        extreme-length kernel weighted._extreme_lengths read them."""
-        gens, order = zip(*sorted(zip(self._reduced, range(self.k))))
-        passes = islice(self._round_robin(gens[0], gens), self.k - 1)
-        tables = [tab.tolist() for tab in passes] + [None]
-        return tuple(zip(order, gens, accumulate(gens, gcd), tables))
+    def _prefix_tables(self) -> tuple:
+        """The prefix tables of the factorization walks, built once per
+        instance; factorizations._build_prefix_tables states their layout."""
+        from .factorizations import _build_prefix_tables  # that module imports this one
+
+        return _build_prefix_tables(self)
 
     @cached_property
     def _residue_table(self):
@@ -182,7 +169,8 @@ class Semigroup:
         max(tab) + 2 max(reduced) <= 2 m max(reduced) < 2**63, the kernel's
         condition for the Betti candidates w + g and every t - g_i - g_j
         formed from them."""
-        return self._apery_table(min(self._reduced))
+        *_, tab = self._round_robin(min(self._reduced), self._reduced)
+        return tab
 
     @cached_property
     def _betti(self) -> dict[int, tuple[int, ...]]:
@@ -227,7 +215,7 @@ class Semigroup:
         m_red = m // self.d
         tab = self._residue_table
         if m_red != len(tab):
-            tab = self._apery_table(m_red)
+            *_, tab = self._round_robin(m_red, self._reduced)
         return AperySet(self, m, tuple(x * self.d for x in tab.tolist()))
 
     def frobenius(self) -> int:

@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import groupby
 from math import gcd, lcm
 
-from .factorizations import betti_elements, factorizations
+from .factorizations import _extreme_lengths, betti_elements, factorizations
 from .semigroup import Semigroup
 
 # Most elements (bound + 1) ``weighted_delta_profile`` accepts, checked before
@@ -65,60 +65,6 @@ def _lengths(S: Semigroup, t: int, iw) -> list[int]:
     if not zs:
         raise ValueError(f"{t} is not an element of {S!r}")
     return sorted({sum(c * x for c, x in zip(z, iw)) for z in zs})
-
-
-def _extreme_lengths(S: Semigroup, t: int, iw) -> tuple[int, int]:
-    """(min, max) integer length z . iw over Z(t); t must be an element.
-
-    The maximum is a branch and bound over the recursion of
-    :func:`factorizations`: the largest generator first, remainders pruned by
-    ``S._prefix_tables``; the minimum is minus the maximum under -iw.  A
-    remainder rest left to the generators below g has every length at most
-    rest * w_j / g_j, w_j / g_j the largest of their ratios (each count c_j
-    adds c_j g_j to rest and c_j w_j to the length).  So with acc the length
-    of the counts fixed so far and r the remainder before g (weight w), every
-    length through rest is at most acc + (r - rest) / g * w + floor(rest *
-    w_j / g_j), whose slope in rest is w_j / g_j - w / g.  The loop over rest
-    walks in the direction in which this bound only falls, so it stops at the
-    first rest whose bound cannot beat the best length found.
-    """
-    if t < 0 or not S.contains(t):
-        raise ValueError(f"{t} is not an element of {S!r}")
-    x = t // S.d
-    return -_max_length(S, x, [-v for v in iw]), _max_length(S, x, iw)
-
-
-def _max_length(S: Semigroup, x: int, iw) -> int:
-    """The largest z . iw over the factorizations z of the reduced element x
-    (see :func:`_extreme_lengths`)."""
-    passes = S._prefix_tables
-    levels, top = [], None
-    for i, (pos, g, _, _) in enumerate(passes):
-        w = iw[pos]
-        levels.append((g, w, top, passes[i - 1]))  # level 0 reads only g and w
-        if top is None or w * top[1] > top[0] * g:
-            top = w, g
-    return _best(levels, passes[0][1], len(levels) - 1, x, 0, None)
-
-
-def _best(levels, m: int, i: int, r: int, acc: int, best):
-    """The larger of best (None: no length yet) and acc plus the largest
-    length of r over the i + 1 smallest generators, which reach r.  Level i
-    holds g_i, w_i, the largest ratio (w_j, g_j) among the generators below
-    it, and their pass of ``S._prefix_tables``."""
-    g, w, top, below = levels[i]
-    if i == 0:
-        length = acc + r // g * w
-        return length if best is None or length > best else best
-    (wj, gj), (_, _, e, tab) = top, below
-    rests = range(r, r % g - 1, -g) if wj * g > w * gj else range(r % g, r + 1, g)
-    for rest in rests:
-        c = (r - rest) // g
-        if best is not None and acc + c * w + rest * wj // gj <= best:
-            break
-        if rest % e == 0 and rest >= tab[rest % m]:
-            best = _best(levels, m, i - 1, rest, acc + c * w, best)
-    return best
 
 
 def _gaps(ls) -> list:

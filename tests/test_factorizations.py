@@ -75,16 +75,19 @@ class TestFactorizations:
     @pytest.mark.parametrize("gens", [(4, 6, 9), (9, 4, 6, 10), (20, 9, 6), (7,), (2, 3), (3, 10**20 + 1)])
     @pytest.mark.parametrize("scale", [1, 3])
     def test_last_prefix_table_is_the_residue_table(self, gens, scale):
-        # the round robin's last table is the residue table, which no reader
-        # of the prefix tables uses: they hold one entry per generator, the
-        # snapshots after the first k - 1 passes, and None for the largest
+        # the round robin's last table is the residue table, which no level
+        # of the prefix tables holds: level i holds the gcd of the i smallest
+        # generators and the snapshot after their passes, level 0 (0, None)
         S = Semigroup([scale * g for g in gens], keep_order=True)
         reduced = sorted(S._reduced)
         full = [tab.tolist() for tab in S._round_robin(reduced[0], reduced)]
         assert full[-1] == S._residue_table.tolist()
-        tables = [tab for _, _, _, tab in S._prefix_tables]
-        assert tables == full[:-1] + [None]
-        assert all(type(x) is int for tab in tables[:-1] for x in tab)
+        levels = S._prefix_tables
+        assert [(S._reduced[pos], g) for pos, g, _, _ in levels] == list(zip(reduced, reduced))
+        assert levels[0][2:] == (0, None)
+        for i, (_, _, e, tab) in enumerate(levels[1:], 1):
+            assert (e, tab) == (gcd(*reduced[:i]), full[i - 1])
+            assert all(type(x) is int for x in tab)
 
     def test_builds_no_semigroup(self, monkeypatch):
         S = Semigroup((9, 4, 6, 10), keep_order=True)
@@ -461,6 +464,14 @@ class TestMinimalPresentation:
         assert verify_minimal_presentation(Semigroup([3, 5]), [rel]) == [
             "degree multiset [7] != Betti elements with multiplicity [15]",
             f"relation {rel} uses a vector that does not factor 7",
+        ]
+
+    def test_verifier_reports_a_relation_far_below_zero(self):
+        # a degree below -2**63 needs the kernel's object dtype
+        rel = Relation((-3 * 10**19, 0, 0), (0, -2 * 10**19, 0), -18 * 10**19)
+        assert verify_minimal_presentation(Semigroup([6, 9, 20]), [rel]) == [
+            f"degree multiset [{rel.degree}] != Betti elements with multiplicity [18, 60]",
+            f"relation {rel} uses a vector that does not factor {rel.degree}",
         ]
 
     @pytest.mark.parametrize("gens", [

@@ -44,8 +44,8 @@ from numsgps import (
     verify_weighted_recurrences,
     weighted_delta_profile,
 )
-from numsgps.factorizations import BETTI_CHUNK, _betti_search, _components
-from numsgps.weighted import _extreme_lengths, _extremes, _lengths
+from numsgps.factorizations import BETTI_CHUNK, _betti_search, _components, _extreme_lengths
+from numsgps.weighted import _extremes, _lengths
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
 small_generators = st.lists(st.integers(2, 15), min_size=1, max_size=4, unique=True)
