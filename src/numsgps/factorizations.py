@@ -72,10 +72,12 @@ def _build_prefix_tables(S: Semigroup) -> tuple[tuple[int, int, int, list[int] |
     table modulo the smallest, m, after their passes, as Python ints (0, None
     at level 0).  The reach rule: they reach a remainder r iff r % e == 0 and
     r >= tab[r % m].  The gcd test stays because off the multiples of e, tab
-    holds the round robin's sentinel, which r can exceed."""
+    holds the round robin's sentinel, which r can exceed.  Level 1 stores
+    only [0], its class 0: its e is m itself, so r % e == 0 leaves no other
+    class to read."""
     gens, order = zip(*sorted(zip(S._reduced, range(S.k))))
-    passes = islice(S._round_robin(gens[0], gens), S.k - 1)
-    tables = [None] + [tab.tolist() for tab in passes]
+    passes = islice(S._round_robin(gens[0], gens), 1, S.k - 1)
+    tables = [None, [0]] + [tab.tolist() for tab in passes]
     return tuple(zip(order, gens, [0, *accumulate(gens, gcd)], tables))
 
 

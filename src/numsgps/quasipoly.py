@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 def _interpolate(points) -> list[Fraction]:
@@ -61,10 +62,20 @@ def _classes(samples, period: int, degree: int) -> dict[int, list[tuple[int, Fra
 
 def _anchor(pts, degree: int):
     """The polynomial through the newest degree + 1 points of a sorted class,
-    and the largest older n it misses (None when it reproduces them all)."""
+    and the largest older n it misses (None when it reproduces them all).
+
+    The tail check runs in integers: with den the lcm of the coefficients'
+    denominators, den * poly has integer coefficients, and poly(n) = v
+    exactly when their Horner sum acc at n has acc * v.denominator equal to
+    v.numerator * den."""
     poly = _interpolate(pts[-(degree + 1):])
+    den = lcm(*(c.denominator for c in poly))
+    scaled = [c.numerator * (den // c.denominator) for c in reversed(poly)]
     for n, v in reversed(pts[:-(degree + 1)]):
-        if _poly_eval(poly, n) != v:
+        acc = 0
+        for c in scaled:
+            acc = acc * n + c
+        if acc * v.denominator != v.numerator * den:
             return poly, n
     return poly, None
 
@@ -102,7 +113,8 @@ def fit(samples, period: int, degree: int):
     """Fit an exact quasipolynomial to ``samples`` (mapping n -> rational).
 
     Per residue class, the polynomial is anchored on the newest degree+1
-    samples and all older samples are verified backwards; the largest
+    samples and all older samples are verified backwards, in integer
+    arithmetic over the anchored polynomial's common denominator; the largest
     mismatching n (if any) sets the class threshold and everything above it
     must still hold at least degree+2 samples, otherwise a FitMismatch naming
     that n is returned.  Classes without samples are left absent.

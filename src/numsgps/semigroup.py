@@ -89,10 +89,11 @@ class Semigroup:
         x_i = tab[i] - i a.  The term of an i <= j is x_i + j a; that of an
         i > j goes through the wrap and is x_i + j a + L a.  So
         new[j] = j a + min(P_j, X + L a), with P_j = min(x_0, ..., x_j) and
-        X the minimum of the whole row.  X may be the x_i of some i <= j, but
-        then x_i + L a >= x_i >= P_j, so the plain minimum is exact.  The c
-        cycles are the rows of one index array (a single row when c = 1): one
-        gather, one scan, one scatter per generator, the rest in place.
+        X the minimum of the whole row (exact although it admits i <= j, as
+        x_i + L a >= P_j there).  X is the last prefix minimum P_{L-1}, so
+        the scan leaves it in each row's last entry.  The c cycles are the
+        rows of one index array (a single row when c = 1): one gather, one
+        scan, one scatter per generator, the rest in place.
 
         The first pass with a step (a % m != 0) has a closed form: the passes
         before it add multiples of m and move nothing, so it meets a fresh
@@ -141,8 +142,8 @@ class Semigroup:
                         idx = idx + np.arange(cycles)[:, None]
                     x = tab[idx]
                     x -= ramp
-                    wrap = x.min(axis=-1, keepdims=True) + length * a
                     np.minimum.accumulate(x, axis=-1, out=x)
+                    wrap = x[..., -1:] + length * a  # P_{L-1} = X
                     np.minimum(x, wrap, out=x)
                     x += ramp
                     tab[idx] = x

@@ -203,3 +203,82 @@ def loop_round_robin(gens, m):
         [big if v is None else v for v in loop_apery_table(gens[:i], m)]
         for i in range(1, len(gens) + 1)
     ]
+
+
+def _solve_anchor(pts):
+    """Monomial coefficients (ascending) of the polynomial through pts, by
+    Gauss-Jordan elimination on the Vandermonde system in Fractions."""
+    size = len(pts)
+    rows = [[Fraction(n) ** j for j in range(size)] + [Fraction(v)] for n, v in pts]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+def _lagrange(pts, n):
+    """The polynomial through pts at n, by Lagrange's formula in Fractions."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(pts):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(pts):
+            if j != i:
+                term *= Fraction(n - xj, xi - xj)
+        total += term
+    return total
+
+
+def _reference_classes(samples, period, degree):
+    classes = {}
+    for n, v in samples.items():
+        classes.setdefault(n % period, []).append((n, Fraction(v)))
+    if not classes or any(len(pts) < degree + 2 for pts in classes.values()):
+        raise ValueError("a residue class is short of samples")
+    return {s: sorted(pts) for s, pts in classes.items()}
+
+
+def _reference_largest_miss(pts, degree):
+    anchor = pts[-(degree + 1):]
+    misses = [n for n, v in pts[:-(degree + 1)] if _lagrange(anchor, n) != v]
+    return max(misses, default=None)
+
+
+def reference_fit(samples, period, degree):
+    """fit's answer in plain data, Fractions only: ("fit", period, degree,
+    coeffs, n_min) with coeffs as in QuasiPolynomial, or ("mismatch", n,
+    samples left above n).  Each class is anchored on its newest degree + 1
+    samples by a Vandermonde solve, and the older samples are checked by
+    Lagrange evaluation through the anchors; raises ValueError when a class
+    has fewer than degree + 2 samples."""
+    columns, thresholds = {}, []
+    for s, pts in sorted(_reference_classes(samples, period, degree).items()):
+        bad = _reference_largest_miss(pts, degree)
+        good = [n for n, _ in pts if bad is None or n > bad]
+        if len(good) < degree + 2:
+            return ("mismatch", bad, len(good))
+        thresholds.append(good[0])
+        columns[s] = _solve_anchor(pts[-(degree + 1):])
+    coeffs = [
+        tuple(columns[s][j] if s in columns else None for s in range(period))
+        for j in range(degree + 1)
+    ]
+    while len(coeffs) > 1 and all(c == 0 for c in coeffs[-1] if c is not None):
+        coeffs.pop()
+    return ("fit", period, len(coeffs) - 1, tuple(coeffs), max(thresholds))
+
+
+def reference_detect(samples, max_period, max_degree):
+    """detect's answer by the same scan, degree-major, over
+    _reference_largest_miss; raises ValueError like reference_fit."""
+    for degree in range(max_degree + 1):
+        for period in range(1, max_period + 1):
+            classes = _reference_classes(samples, period, degree)
+            if all(_reference_largest_miss(pts, degree) is None for pts in classes.values()):
+                return period, degree
+    return None

@@ -78,6 +78,7 @@ class TestFactorizations:
         # the round robin's last table is the residue table, which no level
         # of the prefix tables holds: level i holds the gcd of the i smallest
         # generators and the snapshot after their passes, level 0 (0, None)
+        # and level 1 (m, [0]), the one class its gcd m lets a walk read
         S = Semigroup([scale * g for g in gens], keep_order=True)
         reduced = sorted(S._reduced)
         full = [tab.tolist() for tab in S._round_robin(reduced[0], reduced)]
@@ -85,7 +86,9 @@ class TestFactorizations:
         levels = S._prefix_tables
         assert [(S._reduced[pos], g) for pos, g, _, _ in levels] == list(zip(reduced, reduced))
         assert levels[0][2:] == (0, None)
-        for i, (_, _, e, tab) in enumerate(levels[1:], 1):
+        if len(levels) > 1:
+            assert levels[1][2:] == (reduced[0], [0])
+        for i, (_, _, e, tab) in enumerate(levels[2:], 2):
             assert (e, tab) == (gcd(*reduced[:i]), full[i - 1])
             assert all(type(x) is int for x in tab)
 

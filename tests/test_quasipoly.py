@@ -1,8 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_detect, reference_fit
 from numsgps import (
     FitMismatch,
     LinearFamily,
@@ -144,3 +148,49 @@ class TestLeadingCoefficient:
     def test_degree_zero(self):
         qp = fit({n: 5 for n in range(8)}, 1, 0)
         assert leading_coefficient(qp) == 5
+
+
+@st.composite
+def quasipolynomial_samples(draw):
+    """Samples of a quasipolynomial with rational coefficients, period 1-4 and
+    degree 0-3, over a run of consecutive n that gives every class at least
+    degree + 2 samples; each integral value is an int or a Fraction, and in
+    some draws one sample is moved by +-1/q."""
+    period, degree = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    coeffs = [[draw(rational) for _ in range(degree + 1)] for _ in range(period)]
+    start = draw(st.integers(-20, 40))
+    size = period * (degree + 2) + draw(st.integers(0, 12))
+    samples = {}
+    for n in range(start, start + size):
+        v = sum(c * n**j for j, c in enumerate(coeffs[n % period]))
+        samples[n] = int(v) if v.denominator == 1 and draw(st.booleans()) else v
+    if draw(st.booleans()):
+        n = draw(st.sampled_from(sorted(samples)))
+        samples[n] += Fraction(draw(st.sampled_from([-1, 1])), draw(st.integers(1, 5)))
+    return samples, period, degree
+
+
+def _plain(out):
+    if isinstance(out, FitMismatch):
+        return ("mismatch", out.mismatch_n, int(re.search(r"only (\d+) samples", out.reason)[1]))
+    assert all(type(c) is Fraction for row in out.coeffs for c in row if c is not None)
+    return ("fit", out.period, out.degree, out.coeffs, out.n_min)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(quasipolynomial_samples(), st.integers(1, 4), st.integers(0, 3))
+def test_fit_and_detect_match_the_fraction_reference(drawn, period, degree):
+    samples, true_period, true_degree = drawn
+    for p, d in [(true_period, true_degree), (period, degree)]:
+        out = _outcome(fit, samples, p, d)
+        want = _outcome(reference_fit, samples, p, d)
+        assert (out if out is ValueError else _plain(out)) == want, (p, d)
+    assert _outcome(detect, samples, 4, 3) == _outcome(reference_detect, samples, 4, 3)
