@@ -417,10 +417,18 @@ def apery_at_multiple(S: Semigroup, n: int) -> AperySet:
     return S.apery_set(d * n)
 
 
-def _inner_semigroup(family: LinearFamily):
-    """The semigroup of the positive offsets r_i with their weights; a
-    duplicated offset keeps its cheapest weight (the larger weight never
-    achieves a minimum)."""
+def _closed_form(family: LinearFamily, n: int) -> dict[int, int]:
+    """Each a in Ap(S; dn), ascending, mapped to m_w(a), its least weighted
+    length in S, the semigroup of the positive offsets r_i (gcd d) of a
+    w_1 = 1 family; a duplicated offset keeps its cheapest weight, the only
+    one a minimum uses.  For n > apery_bound, Ap(P_n; n) = {a + m_w(a) n}.
+
+    It needs gcd(n, d) = 1: P_n has gcd gcd(n, r_2, ..., r_k) = gcd(n, d) = g,
+    and with g > 1, Ap(P_n; n) has n/g elements but Ap(S; dn) has n.  Whether
+    the reduction P_n = g T of :func:`betti_bijection` extends the closed
+    form to g > 1 is open.  Ap(S; dn) is an order ideal of S that contains 0,
+    so the lo dict of one ``weighted._extremes`` pass over it has exactly its
+    elements as keys, in ascending order."""
     if family.w[0] != 1:
         raise ValueError("this construction requires w_1 = 1 (hence r_1 = 0)")
     if family.is_degenerate:
@@ -429,19 +437,29 @@ def _inner_semigroup(family: LinearFamily):
     for wi, ri in zip(family.w, family.r):
         if ri > 0:
             best[ri] = min(best.get(ri, wi), wi)
-    rs = tuple(sorted(best))
-    return _member(rs), tuple(best[x] for x in rs)
+    S = _member(tuple(sorted(best)))
+    d = S.d
+    if gcd(n, d) != 1:
+        raise ValueError(
+            f"gcd(n, {d}) must be 1: the member at n={n} has gcd {gcd(n, d)} and its "
+            f"Apery set at n has fewer than n elements"
+        )
+    # the n elements of Ap(S; dn) are multiples of d distinct mod dn, so the
+    # pass keeps n <= d (n - 1) + 1 entries: check that before building it
+    _check_extremes_budget(d * (n - 1))
+    ap = apery_at_multiple(S, n)
+    return _extremes(S, [best[x] for x in S.generators], sorted(ap.elements))[1]
 
 
 @dataclass(frozen=True)
 class FastAperyCheck:
     """Closed-form Apery set of the member at n versus the direct one.
 
-    ``singleton_failures`` lists each mapped element e = i + m_w(i) n whose
-    weighted length set in P_n is not {m_w(i)}, with the whole set.  m_w
-    and the extremes of every element come from one pass each over two order
-    ideals, Ap(S; dn) and Ap(P_n; n) (see :func:`verify_fast_apery`); Z(e)
-    is enumerated only for an element that fails."""
+    ``singleton_failures`` lists each mapped element e = a + m_w(a) n whose
+    weighted length set in P_n is not {m_w(a)}, with the whole set.  m_w is
+    the map of :func:`_closed_form` over Ap(S; dn), and the extremes of every
+    element come from one pass over Ap(P_n; n) (see :func:`verify_fast_apery`);
+    Z(e) is enumerated only for an element that fails."""
 
     n: int
     apery_bound: int
@@ -463,42 +481,24 @@ class FastAperyCheck:
 
 
 def verify_fast_apery(family: LinearFamily, n: int) -> FastAperyCheck:
-    """Compute the closed-form Apery set {i + m_w(i) * n} and compare it with
+    """Compute the closed-form Apery set {a + m_w(a) * n} and compare it with
     the directly computed Ap(P_n; n); also check that each mapped element's
-    weighted length set in P_n is the predicted singleton {m_w(i)}.
+    weighted length set in P_n is the predicted singleton {m_w(a)}.
 
     Both halves read extreme weighted lengths off one ascending pass over an
-    order ideal (``weighted._extremes``).  m_w(i) is the min over Ap(S; dn)
-    of the inner semigroup S, an order ideal of S.  P_n = <n, w_2 n + r_2,
-    ..., w_k n + r_k> has gcd gcd(n, r_2, ..., r_k) = gcd(n, d) = 1, so
-    Ap(P_n; n) has n elements, one per class mod n.  No factorization of an e
-    in it uses g_1 = n, which would put e - n in P_n, and each generator g it
-    does use leaves e - g in Ap(P_n; n) (it is an order ideal of P_n).  So
-    Z(e) is the union of Z(e - g) + e_g over the generators g with e - g in
-    Ap(P_n; n), and the singleton check reads the min and max weighted length
-    of every element off the pass over it.  A mapped element passes when both
-    equal m_w(i); only one that is not in the direct Apery set, or whose
-    extremes disagree, enumerates Z(e), as its report prints the whole set."""
-    S, ws = _inner_semigroup(family)
-    d = S.d
-    if gcd(n, d) != 1:
-        raise ValueError(
-            f"gcd(n, {d}) must be 1: the member at n={n} has gcd {gcd(n, d)} and its "
-            f"Apery set at n has fewer than n elements"
-        )
-    # each pass below keeps n entries, one per Apery element, and the n
-    # elements of Ap(S; dn) are multiples of d distinct mod dn, so n <=
-    # d (n - 1) + 1: check that bound before Ap(S; dn) is built
-    _check_extremes_budget(d * (n - 1))
-    ap = apery_at_multiple(S, n)
-    _, lo = _extremes(S, ws, sorted(ap.elements))
+    order ideal (``weighted._extremes``); m_w is :func:`_closed_form`'s map.
+    Mapped elements never share a class mod n: the a are multiples of d
+    distinct mod dn, hence mod n as gcd(n, d) = 1, and e = a + m_w(a) n is a
+    mod n.  P_n has gcd gcd(n, d) = 1, so Ap(P_n; n) has n elements, one per
+    class.  No factorization of an e in it uses g_1 = n, which would put
+    e - n in P_n, and each generator g it does use leaves e - g in the order
+    ideal Ap(P_n; n).  So Z(e) is the union of Z(e - g) + e_g over the g with
+    e - g in Ap(P_n; n), and the singleton check reads the min and max
+    weighted length of every element off the pass over it.  A mapped element
+    passes when both equal m_w(a); only one outside the direct Apery set, or
+    whose extremes disagree, enumerates Z(e) for the set its report prints."""
+    min_lengths = {a + mw * n: mw for a, mw in _closed_form(family, n).items()}
     P = family.instantiate(n)
-    min_lengths = {a + lo[a] * n: lo[a] for a in ap.elements}
-    elements: list[int | None] = [None] * n
-    for e in min_lengths:
-        elements[e % n] = e
-    if any(e is None for e in elements):
-        raise VerificationError("mapped Apery elements collide modulo n")
     direct = P.apery_set(n)
     hi, lo = _extremes(P, family.w, sorted(direct.elements))
     failures = []
@@ -511,7 +511,7 @@ def verify_fast_apery(family: LinearFamily, n: int) -> FastAperyCheck:
     return FastAperyCheck(
         n=n,
         apery_bound=family.apery_bound,
-        theorem=AperySet(P, n, tuple(elements)),
+        theorem=AperySet(P, n, tuple(sorted(min_lengths, key=lambda e: e % n))),
         direct=direct,
         singleton_failures=tuple(failures),
     )
@@ -540,8 +540,8 @@ def fast_apery(family: LinearFamily, n: int) -> AperySet:
 @dataclass(frozen=True)
 class PFTransportReport:
     """Pseudo-Frobenius numbers of the members at n and n + r_k, compared in
-    the coordinates of Ap(S; dn), S the inner semigroup of the offsets r_i
-    (gcd d) and Ap(S; dn) its closed form (``apery_at_multiple``).
+    the coordinates of Ap(S; dn), S the semigroup of the offsets r_i (gcd d):
+    the keys of :func:`_closed_form` at n and at n + r_k.
 
     ``f_n`` holds the coordinates i in Ap(S; dn) whose class mod n is that of
     a pseudo-Frobenius number of P_n; ``f_next`` is the same at n + r_k.
@@ -578,25 +578,18 @@ class PFTransportReport:
 
 def pf_transport(family: LinearFamily, n: int) -> PFTransportReport:
     """The PFTransportReport between P_n and P_{n + r_k} for a w_1 = 1 family
-    and gcd(n, d) = 1.  Both pseudo-Frobenius sets are computed directly, so
-    the types are exact; the coordinate map is the uniform shift by d*r_k,
-    which is wrong for coordinates a bounded distance from 0 (see the
-    report)."""
-    S, _ = _inner_semigroup(family)
-    d = S.d
-    if gcd(n, d) != 1:
-        raise ValueError(f"gcd(n, {d}) must be 1 for pseudo-Frobenius numbers to exist")
+    and gcd(n, d) = 1, in the coordinates of :func:`_closed_form`.  Both PF
+    sets are computed directly, so the types are exact; the map is the shift
+    by d*r_k, wrong for coordinates a bounded distance from 0 (see the report)."""
     rk = family.r[-1]
-    P1 = family.instantiate(n)
-    P2 = family.instantiate(n + rk)
-    pf1 = P1.pseudo_frobenius()
-    pf2 = P2.pseudo_frobenius()
+    here, there = _closed_form(family, n), _closed_form(family, n + rk)
+    pf1 = family.instantiate(n).pseudo_frobenius()
+    pf2 = family.instantiate(n + rk).pseudo_frobenius()
     res1 = {a % n for a in pf1}
     res2 = {a % (n + rk) for a in pf2}
-    f_n = tuple(i for i in sorted(apery_at_multiple(S, n).elements) if i % n in res1)
-    f_next = tuple(
-        i for i in sorted(apery_at_multiple(S, n + rk).elements) if i % (n + rk) in res2
-    )
+    f_n = tuple(i for i in here if i % n in res1)
+    f_next = tuple(i for i in there if i % (n + rk) in res2)
+    d = gcd(*family.r)  # r_1 = 0: the gcd of the positive offsets
     mapping = tuple((i, i + d * rk) for i in f_n)
     return PFTransportReport(
         n=n,

@@ -224,6 +224,14 @@ class TestFamily:
         assert code == 0 and doc["ok"]
         assert doc["type_n"] == doc["type_next"] == 2
 
+    def test_verify_pf_shares_the_gcd_message(self, capsys, spec_file):
+        # verify-apery and verify-pf run the one gcd(n, d) check
+        golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+        spec = spec_file({"w": [1, 1, 1], "r": [0, 4, 6]})
+        code, out, err = run(capsys, "family", "--spec", spec, "verify-pf", "--n", "10")
+        assert err.startswith("error: gcd(n, 2) must be 1: ")
+        assert (code, out, err) == (1, "", golden["cli"]["verify-apery-gcd2-human"]["stderr"])
+
     def test_scan_polynomial_family(self, capsys, spec_file):
         spec = spec_file({"polys": [[0, 1], [3, 1]]})  # <n, n+3>
         code, out, _ = run(capsys, "family", "--spec", spec, "scan",

@@ -518,16 +518,19 @@ class TestFastApery:
             assert calls == failing == enumerated.get(n, []), n
 
     def test_extreme_table_budget(self, monkeypatch):
-        # the check is on d (n - 1), a bound on the entries of each pass
+        # the check is on d (n - 1), a bound on the entries of each pass;
+        # pf_transport also builds the coordinates at n + r_k
         fam = LinearFamily.normalize((1, 1, 1), (0, 4, 6))
-        limit = 2 * (37 - 1)
-        monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit + 1)
-        assert verify_fast_apery(fam, 37).ok
-        monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit)
-        with pytest.raises(ValueError, match=f"up to {limit} are over the budget of {limit} entries"):
-            verify_fast_apery(fam, 37)
+        for check, top in ((verify_fast_apery, 37), (pf_transport, 37 + 6)):
+            limit = 2 * (top - 1)
+            monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit + 1)
+            check(fam, 37)
+            monkeypatch.setattr(weighted, "EXTREME_TABLE_BUDGET", limit)
+            with pytest.raises(ValueError, match=f"up to {limit} are over the budget of {limit} entries"):
+                check(fam, 37)
 
-    def test_extreme_table_budget_fails_before_the_apery_set(self):
+    @pytest.mark.parametrize("check", [fast_apery, pf_transport], ids=lambda f: f.__name__)
+    def test_extreme_table_budget_fails_before_the_apery_set(self, check):
         # Ap(<1, 6>; n) = {0, ..., n - 1}: its largest element, the tables'
         # limit, is n - 1, and the check on that bound allocates nothing
         fam = LinearFamily.normalize((1, 1, 1), (0, 1, 6))
@@ -536,20 +539,23 @@ class TestFastApery:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"up to {n - 1} are over the budget"):
-                verify_fast_apery(fam, n)
+                check(fam, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_rejects_non_unit_first_weight(self):
-        with pytest.raises(ValueError):
-            fast_apery(EX53, 3000)
+    @pytest.mark.parametrize("check", [fast_apery, pf_transport], ids=lambda f: f.__name__)
+    def test_rejects_non_unit_first_weight(self, check):
+        with pytest.raises(ValueError, match="requires w_1 = 1"):
+            check(EX53, 3000)
 
-    def test_rejects_non_coprime_parameter(self):
+    @pytest.mark.parametrize("check", [fast_apery, pf_transport], ids=lambda f: f.__name__)
+    def test_rejects_non_coprime_parameter(self, check):
         fam = LinearFamily.normalize((1, 1), (0, 2))
-        with pytest.raises(ValueError):
-            fast_apery(fam, 6)  # member <6, 8> has gcd 2
+        # member <6, 8> has gcd 2
+        with pytest.raises(ValueError, match=r"gcd\(n, 2\) must be 1: the member at n=6 has gcd 2"):
+            check(fam, 6)
 
 
 class TestPFTransport:

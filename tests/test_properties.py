@@ -38,6 +38,7 @@ from numsgps import (
     fit,
     min_delta_w,
     minimal_presentation,
+    pf_transport,
     transport_presentation,
     verify_fast_apery,
     verify_minimal_presentation,
@@ -457,6 +458,34 @@ def test_singleton_failures_match_the_enumerated_oracle(member):
     outer = brute_weighted_length_sets(fam.generators(n), fam.w, max(mapped))
     want = tuple((e, tuple(sorted(outer[e]))) for e, mw in sorted(mapped.items()) if outer[e] != {mw})
     assert verify_fast_apery(fam, n).singleton_failures == want, (fam, n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(unit_weight_members())
+def test_pf_transport_matches_the_oracle(member):
+    # at n and at n + r_k: the coordinates are Ap(S; dn), rebuilt by
+    # reachability as above, and the pseudo-Frobenius numbers come from their
+    # definition over the member's gaps (Frobenius number < n * max generator)
+    fam, n = member
+    gens = [r for r in fam.r if r]
+    d, rk = gcd(*gens), fam.r[-1]
+    top = d * (n + rk + max(gens) ** 2)
+    members = brute_members(gens, top)
+    frobenius = max((x for x in range(0, top, d) if x not in members), default=-d)
+    assume(gcd(n, d) == 1 and d * n > frobenius)
+    assume(all(len(set(fam.generators(m))) == fam.k for m in (n, n + rk)))
+    want = []
+    for m in (n, n + rk):
+        least: dict[int, int] = {}
+        for x in sorted(members):
+            least.setdefault(x % (d * m), x)
+        P = fam.generators(m)
+        in_P = brute_members(P, m * max(P))
+        pf = brute_pseudo_frobenius(P, max(x for x in range(m * max(P)) if x not in in_P))
+        classes = {x % m for x in pf}
+        want += [tuple(sorted(a for a in (least[d * i] for i in range(m)) if a % m in classes)), len(pf)]
+    rep = pf_transport(fam, n)
+    assert [rep.f_n, rep.type_n, rep.f_next, rep.type_next] == want, (fam, n)
 
 
 @st.composite
