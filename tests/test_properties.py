@@ -639,6 +639,25 @@ def test_min_delta_w_divides_every_profile_gap(gens, weights):
         assert all((g / least).denominator == 1 for g in gaps), (gens, w)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    small_generators.filter(lambda gens: len(gens) >= 2),
+    st.lists(st.builds(Fraction, st.integers(-3, 6), st.integers(1, 3)), min_size=4, max_size=4),
+)
+@example([6, 9, 20], [Fraction(3), Fraction(1), Fraction(4)])
+@example([3, 5], [Fraction(3), Fraction(5)])  # w_i = g_i: every weighted length equal
+def test_delta_profile_matches_the_length_set_oracle(gens, weights):
+    S = Semigroup(gens, keep_order=True)
+    w = weights[: S.k]
+    table = brute_weighted_length_sets(S.generators, w, 120)
+    want = {}
+    for t, lengths in enumerate(table):
+        ls = sorted(lengths)
+        if len(ls) >= 2:
+            want[t] = tuple(sorted({b - a for a, b in zip(ls, ls[1:])}))
+    assert weighted_delta_profile(S, w, 120) == want, (gens, w)
+
+
 @st.composite
 def quasipolynomial_samples(draw):
     """A period 1..3, a degree 0..2, coefficients a/b (|a| <= 5, b <= 4) per

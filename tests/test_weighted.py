@@ -205,6 +205,20 @@ class TestDeltaProfileOracle:
                 else:
                     assert t not in profile
 
+    def test_equal_rows_and_gap_values_are_shared(self):
+        # the profile's retained size rests on this: one tuple per distinct
+        # gap set, one Fraction per distinct gap value
+        profile = weighted_delta_profile(Semigroup([6, 9, 20]), (3, 1, 4), 400)
+        rows = {}
+        for row in profile.values():
+            assert rows.setdefault(row, row) is row
+        values = {}
+        for row in rows:
+            for g in row:
+                assert values.setdefault(g, g) is g
+        assert len(rows) < len(profile)
+        assert len(values) < sum(map(len, rows))
+
 
 class TestDeltaProfileBudget:
     def test_over_budget_raises_before_allocating(self):
