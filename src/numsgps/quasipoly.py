@@ -13,31 +13,8 @@ from fractions import Fraction
 from math import lcm
 
 
-def _interpolate(points) -> list[Fraction]:
-    """Monomial coefficients (ascending) of the polynomial through the points."""
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    m = len(points)
-    # Newton divided differences, then expansion of the Newton basis
-    coef = ys[:]
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * m
-    basis = [Fraction(1)]
-    for i in range(m):
-        for j, b in enumerate(basis):
-            poly[j] += coef[i] * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for j, b in enumerate(basis):
-            nxt[j] += -xs[i] * b
-            nxt[j + 1] += b
-        basis = nxt
-    return poly
-
-
-def _poly_eval(coeffs, n) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(coeffs, n):
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * n + c
     return acc
@@ -45,10 +22,17 @@ def _poly_eval(coeffs, n) -> Fraction:
 
 def _classes(samples, period: int, degree: int) -> dict[int, list[tuple[int, Fraction]]]:
     """Samples split by residue class mod period, each class sorted by n;
-    raises when there are none or a class has fewer than degree + 2."""
+    raises when a sample has a non-integral n or a non-rational value, when
+    there are none, or when a class has fewer than degree + 2."""
     classes: dict[int, list[tuple[int, Fraction]]] = {}
     for n, v in samples.items():
-        classes.setdefault(n % period, []).append((int(n), Fraction(v)))
+        try:
+            pt = (int(n), Fraction(v))
+        except (TypeError, ValueError, OverflowError):
+            pt = None
+        if pt is None or pt[0] != n:
+            raise ValueError(f"sample n={n!r}, value {v!r}: needs an integer n and a rational value")
+        classes.setdefault(pt[0] % period, []).append(pt)
     if not classes:
         raise ValueError("no samples")
     for s, pts in classes.items():
@@ -64,20 +48,29 @@ def _anchor(pts, degree: int):
     """The polynomial through the newest degree + 1 points of a sorted class,
     and the largest older n it misses (None when it reproduces them all).
 
-    The tail check runs in integers: with den the lcm of the coefficients'
-    denominators, den * poly has integer coefficients, and poly(n) = v
-    exactly when their Horner sum acc at n has acc * v.denominator equal to
-    v.numerator * den."""
-    poly = _interpolate(pts[-(degree + 1):])
-    den = lcm(*(c.denominator for c in poly))
-    scaled = [c.numerator * (den // c.denominator) for c in reversed(poly)]
-    for n, v in reversed(pts[:-(degree + 1)]):
-        acc = 0
-        for c in scaled:
-            acc = acc * n + c
-        if acc * v.denominator != v.numerator * den:
-            return poly, n
-    return poly, None
+    The polynomial is built once, in integers over one denominator, by
+    Lagrange's form: anchor i at n_i with value p_i/q_i contributes
+    p_i * (den/s_i) * prod_{j != i} (n - n_j), where s_i = q_i *
+    prod_{j != i} (n_i - n_j) and den = lcm(s_i).  So poly(n) = v exactly
+    when the integer Horner sum acc at n has acc * v.denominator equal to
+    v.numerator * den; only the returned coefficients become Fractions."""
+    anchors = pts[-(degree + 1):]
+    terms = []
+    for ni, v in anchors:
+        basis, s = [v.numerator], v.denominator
+        for nj, _ in anchors:
+            if nj != ni:
+                basis = [a - nj * b for a, b in zip([0] + basis, basis + [0])]
+                s *= ni - nj
+        terms.append((basis, s))
+    den = lcm(*(s for _, s in terms))
+    poly = [sum(basis[j] * (den // s) for basis, s in terms) for j in range(degree + 1)]
+    largest_bad = next(
+        (n for n, v in reversed(pts[:-(degree + 1)])
+         if _poly_eval(poly, n) * v.denominator != v.numerator * den),
+        None,
+    )
+    return [Fraction(c, den) for c in poly], largest_bad
 
 
 @dataclass(frozen=True)

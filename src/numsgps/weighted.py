@@ -21,16 +21,17 @@ from .factorizations import _extreme_lengths, betti_elements, factorizations
 from .semigroup import Semigroup
 
 # Most elements (bound + 1) ``weighted_delta_profile`` accepts, checked before
-# it allocates one mask per element; masks grow with t, so unit weights on
-# <6, 9, 20> at the budget hold about 0.1 GB.  The result is small beside
-# them: elements with equal gap sets share one row, so unit weights on
+# it allocates.  It holds only the masks of the last max(gens) elements, the
+# ones the next element reads, so unit weights on <6, 9, 20> at the budget
+# hold 20 masks of at most about 17,000 bits (about 40 KB).  The result is
+# larger: elements with equal gap sets share one row, so unit weights on
 # <6, 9, 20> up to 5000 keep 293 KB, 60 bytes an entry (tracemalloc).
 DELTA_PROFILE_BUDGET = 10**5
 # Most bits the widest of those masks may need, depth * (max(iw, 0) - min(iw, 0))
 # for at most depth generators per factorization, checked before allocating.
 # Unit weights never exceed it (depth <= bound + 1), so at both budgets the
-# masks hold at most about 10**10 / 2 bits (0.6 GB), as unit weights on a
-# semigroup containing 1 already may.
+# held masks hold at most about 10**10 / 2 bits (0.6 GB), and only when
+# max(gens) is near the bound and the weights fill the mask budget.
 DELTA_MASK_BUDGET = 10**5
 # Most entries (limit + 1) of the extreme length tables, checked before they
 # are allocated.  Peak tracemalloc on <6, 9, 20>, w = (3, 1, 4), at 4 * 10**5:
@@ -313,20 +314,18 @@ def weighted_delta_profile(S: Semigroup, w, bound: int) -> dict[int, tuple[Fract
             f"masks of {width} bits, over the budget of {DELTA_MASK_BUDGET} bits"
         )
     offset = max(0, -min(iw)) * depth
-    masks = [0] * (bound + 1)
-    if bound >= 0:
-        masks[0] = 1 << offset
-    for t in range(d, bound + 1, d):
-        acc = 0
-        for g, wi in zip(gens, iw):
-            if t >= g and masks[t - g]:
-                acc |= masks[t - g] << wi if wi >= 0 else masks[t - g] >> -wi
-        masks[t] = acc
+    masks = {0: 1 << offset}  # the masks of the last max(gens) elements
+    top = max(gens)
     out: dict[int, tuple[Fraction, ...]] = {}
     rows: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     values: dict[int, Fraction] = {}
     for t in range(d, bound + 1, d):
-        m = masks[t]
+        m = 0
+        for g, wi in zip(gens, iw):
+            prev = masks.get(t - g, 0)
+            m |= prev << wi if wi >= 0 else prev >> -wi
+        masks[t] = m
+        masks.pop(t - top, None)
         if m == 0 or m & (m - 1) == 0:
             continue  # empty or a single length
         gaps = tuple(_gaps([i for i, c in enumerate(bin(m)) if c == "1"]))

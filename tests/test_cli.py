@@ -262,6 +262,17 @@ class TestFamily:
         doc = json.loads(out)
         assert code == 0 and doc["leading_coefficient"] == "1/2"
 
+    @pytest.mark.parametrize(
+        "invariant, value",
+        [("betti_multiset", "(1,)"), ("minpres_degrees", "(35,)")],
+    )
+    def test_fit_rejects_tuple_valued_invariants(self, capsys, spec_file, invariant, value):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        code, out, err = run(capsys, "family", "--spec", spec, "fit", "--invariant", invariant,
+                             "--range", "5", "11", "--degree", "1", "--period", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: sample n=5, value {value}: needs an integer n and a rational value\n"
+
     def test_degenerate_family_errors(self, capsys, spec_file):
         spec = spec_file({"w": [2, 3], "r": [2, 3]})
         code, _, err = run(capsys, "family", "--spec", spec, "verify-phi", "--n", "10")

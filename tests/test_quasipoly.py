@@ -74,6 +74,29 @@ class TestFit:
         with pytest.raises(ValueError):
             qp.evaluate(4)
 
+    @pytest.mark.parametrize(
+        "samples, named",
+        [
+            ({0.5: 1, 1.5: 2, 2.5: 3}, "n=0.5, value 1"),
+            ({1: 1, 2: 2, 3: (1, 2)}, "n=3, value (1, 2)"),
+            ({1: 1, "2": 2, 3: 3}, "n='2', value 2"),
+            ({1: 1, 2: float("inf"), 3: 3}, "n=2, value inf"),
+        ],
+        ids=["half-integer-n", "tuple-value", "string-n", "infinite-value"],
+    )
+    def test_rejects_samples_it_cannot_fit(self, samples, named):
+        message = f"sample {re.escape(named)}: needs an integer n and a rational value"
+        with pytest.raises(ValueError, match=message):
+            fit(samples, 1, 1)
+        with pytest.raises(ValueError, match=message):
+            detect(samples, 2, 1)
+
+    def test_integral_float_n_fits_like_int_n(self):
+        samples = {n: n * n + (n % 2) for n in range(12)}
+        floats = {float(n): v for n, v in samples.items()}
+        assert fit(floats, 2, 2) == fit(samples, 2, 2)
+        assert detect(floats, 3, 2) == detect(samples, 3, 2) == (2, 2)
+
     def test_shift_equivariance(self):
         rng = random.Random(71)
         coeffs = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
@@ -153,16 +176,24 @@ class TestLeadingCoefficient:
 @st.composite
 def quasipolynomial_samples(draw):
     """Samples of a quasipolynomial with rational coefficients, period 1-4 and
-    degree 0-3, over a run of consecutive n that gives every class at least
+    degree 0-3, over n in steps of 1, 2 or 3 from a start near 0 or near
+    10**6, with a random subset of n dropped as long as every class keeps
     degree + 2 samples; each integral value is an int or a Fraction, and in
     some draws one sample is moved by +-1/q."""
     period, degree = draw(st.integers(1, 4)), draw(st.integers(0, 3))
     rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
     coeffs = [[draw(rational) for _ in range(degree + 1)] for _ in range(period)]
-    start = draw(st.integers(-20, 40))
+    start = draw(st.integers(-20, 40)) + draw(st.sampled_from([0, 10**6]))
+    step = draw(st.integers(1, 3))
     size = period * (degree + 2) + draw(st.integers(0, 12))
+    classes = {}
+    for n in range(start, start + step * size, step):
+        classes.setdefault(n % period, []).append(n)
+    kept = []
+    for members in classes.values():
+        kept += members[:degree + 2] + [n for n in members[degree + 2:] if draw(st.booleans())]
     samples = {}
-    for n in range(start, start + size):
+    for n in sorted(kept):
         v = sum(c * n**j for j, c in enumerate(coeffs[n % period]))
         samples[n] = int(v) if v.denominator == 1 and draw(st.booleans()) else v
     if draw(st.booleans()):

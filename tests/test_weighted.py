@@ -235,6 +235,19 @@ class TestDeltaProfileBudget:
         with pytest.raises(ValueError, match="up to 100000000 is over the budget"):
             delta_set_up_to(S, 10**8)
 
+    def test_holds_only_the_masks_the_next_elements_read(self):
+        # unit weights on <6, 9, 20> up to 5000: the profile itself keeps
+        # 293 KB, and one mask per element would hold about 0.45 MB more
+        S = Semigroup([6, 9, 20])
+        tracemalloc.start()
+        try:
+            profile = weighted_delta_profile(S, (1, 1, 1), 5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(profile) > 4900
+        assert peak < 550_000
+
     def test_budget_counts_elements_up_to_the_bound(self, monkeypatch):
         monkeypatch.setattr(weighted, "DELTA_PROFILE_BUDGET", 401)
         S = Semigroup([6, 9, 20])
