@@ -233,15 +233,34 @@ def family_delta(family: LinearFamily) -> int:
     return reduce(gcd, terms, 0)
 
 
+def _image_degree(family: LinearFamily, n: int, beta: int, lam: int, ell: int) -> int:
+    """Where a relation of degree beta in P_n, between weighted lengths lam
+    and lam + ell, lands in P_{n+p}: its lighter side grows by lam*p and
+    gains ell*w_1 copies of g_k(n+p) = w_k*(n+p) + r_k."""
+    p = family.period
+    return beta + lam * p + ell * family.w[0] * (family.w[-1] * (n + p) + family.r[-1])
+
+
 def phi(family: LinearFamily, n: int, rel: Relation) -> Relation:
     """Transport one relation of P_n to P_{n+p}: the side of larger weighted
     length gains ell*w_k on the first coordinate, the other side gains
     ell*w_1 on the last, where ell is the weighted length difference; equal
-    weighted lengths transport unchanged."""
+    weighted lengths transport unchanged.
+
+    The image balances at n + p, and its degree is :func:`_image_degree`'s.
+    Each g_i grows by w_i*p, so a side of weighted length mu grows by mu*p.
+    The heavy side's extra ell*w_k*g_1(n+p) and the light side's extra
+    ell*w_1*g_k(n+p) differ by ell*(w_k*r_1 - w_1*r_k) = -ell*p, which the
+    heavy side's extra ell of weighted length pays back.  Both sides gain
+    ell*w_1*w_k of weighted length, so the difference is kept.  Nothing
+    here re-checks that: ``verify_minimal_presentation`` recomputes each
+    image relation's balance and degree against the target's generators and
+    reports any mismatch as a problem."""
     if family.is_degenerate:
         raise ValueError("degenerate family: period zero, P_{n+p} = P_n")
     gens = family.generators(n)
-    if _dot(rel.left, gens) != _dot(rel.right, gens):
+    beta = _dot(rel.left, gens)
+    if beta != _dot(rel.right, gens):
         raise ValueError(f"{rel} is not a relation of the member at n={n}")
     lw, rw = _dot(rel.left, family.w), _dot(rel.right, family.w)
     ell = abs(lw - rw)
@@ -251,13 +270,7 @@ def phi(family: LinearFamily, n: int, rel: Relation) -> Relation:
     light[-1] += ell * family.w[0]
     # equal lengths keep their vectors, which a report then shares with its source
     left, right = (tuple(left), tuple(right)) if ell else (rel.left, rel.right)
-    gens2 = family.generators(n + family.period)
-    dl, dr = _dot(left, gens2), _dot(right, gens2)
-    if dl != dr:
-        raise VerificationError(f"transported pair unbalanced at n+p: {dl} != {dr}")
-    if _dot(left, family.w) - _dot(right, family.w) != lw - rw:
-        raise VerificationError("transport changed the weighted length difference")
-    return Relation(left, right, dl)
+    return Relation(left, right, _image_degree(family, n, beta, min(lw, rw), ell))
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,11 +357,11 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     """Map each Betti element of P_n per its weighted length set and verify
     the image is exactly Betti(P_{n+p}).
 
-    The shift is that of :func:`phi`.  At n + p each generator grows by
-    w_i p, so a factorization of weighted length lam grows by lam*p; a
-    relation between lengths lam and lam + l maps to the degree of its
-    lighter side plus l*w_1*(w_k*(n+p) + r_k).  On a gcd-1 member the gap l
-    is delta, the family delta.
+    The shift is :func:`_image_degree`'s, which :func:`phi` uses too.  At
+    n + p each generator grows by w_i p, so a factorization of weighted
+    length lam grows by lam*p; a relation between lengths lam and lam + l
+    maps to the degree of its lighter side plus l*w_1*(w_k*(n+p) + r_k).
+    On a gcd-1 member the gap l is delta, the family delta.
 
     On a member of gcd g the gap is delta/g.  Each w_i r_j - w_j r_i equals
     w_i (w_j n + r_j) - w_j (w_i n + r_i), a multiple of g, so g divides
@@ -383,7 +396,6 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     gap = delta // P.d
     source = betti_elements(P)
     target = betti_elements(family.instantiate(n + p))
-    w1, wk, rk = family.w[0], family.w[-1], family.r[-1]
     own = dict(zip(target, target))  # an image in Betti(P_{n+p}) is kept as the target's own int
     mapping = []
     anomalies = []
@@ -391,7 +403,7 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
         lam, top = _extreme_lengths(P, beta, family.w)
         spread = top - lam  # 0 or gap exactly when the set is {lam} or {lam, lam + gap}
         if spread in (0, gap):
-            image = beta + lam * p + spread * w1 * (wk * (n + p) + rk)
+            image = _image_degree(family, n, beta, lam, spread)
             mapping.append((beta, own.get(image, image)))
         else:
             anomalies.append((beta, tuple(map(Fraction, _lengths(P, beta, family.w)))))
@@ -543,15 +555,43 @@ class PFTransportReport:
     the coordinates of Ap(S; dn), S the semigroup of the offsets r_i (gcd d):
     the keys of :func:`_closed_form` at n and at n + r_k.
 
-    ``f_n`` holds the coordinates i in Ap(S; dn) whose class mod n is that of
+    ``f_n`` holds the coordinates a in Ap(S; dn) whose class mod n is that of
     a pseudo-Frobenius number of P_n; ``f_next`` is the same at n + r_k.
-    ``mapping`` sends every i to i + d*r_k, and ``is_bijection`` asks whether
-    that lands exactly on ``f_next``.  The shift is right for coordinates
-    near dn (the gap branch d*j + d*n grows with d*n), but wrong for those a
-    bounded distance from 0, which stay put.  For w=(1,2,3,3), r=(0,1,4,6)
-    at n = 109, f_n = (3, 105, 107, 108): PF(P_109) holds 548 = 3 + 5*109
-    and PF(P_115) holds 578 = 3 + 5*115, so 3 stays at 3, the map sends it
-    to 9, and ``is_bijection`` is False although ``types_equal`` holds."""
+    ``mapping`` sends a to a + d*r_k when a + r_k >= dn and keeps it
+    otherwise, and ``is_bijection`` asks whether that lands exactly on
+    ``f_next``.  For w=(1,2,3,3), r=(0,1,4,6) at n = 109, f_n = (3, 105,
+    107, 108): PF(P_109) holds 548 = 3 + 5*109 and PF(P_115) holds 578 =
+    3 + 5*115, so 3 stays, and 105, 107, 108 move to 111, 113, 114.
+
+    For n > apery_bound the map is onto ``f_next``.  Write m for m_w and
+    e_a = a + m(a) n.  The closed form holds at n and at n + r_k (d divides
+    r_k, so gcd(n + r_k, d) = 1 too): Ap(P_n; n) = {e_a}, and each
+    factorization of e_a has weighted length m(a), so its offsets sum to a.
+
+    (a) The PF numbers are e - n for the e maximal in Ap(P_n; n) under
+    x <= y iff y - x in P_n.  If e_a + g_j is in Ap(P_n; n), it is e_b for
+    the b in Ap(S; dn) congruent to a + r_j mod n, and the factorization of
+    e_a plus g_j has offsets summing to a + r_j, so b = a + r_j.  Hence e_a
+    is maximal iff no step a -> a + r_j stays in Ap(S; dn) with
+    m(a + r_j) = m(a) + w_j (a tight step).
+    (b) If x + r_k in S exceeds (r_k - 1) max(r), m(x + r_k) = m(x) + w_k.
+    A least factorization of x + r_k without r_k has at least r_k offsets,
+    and some nonempty subset of them sums to c r_k (prefix sums mod r_k).
+    Each offset has w_i/r_i >= w_k/r_k, so c copies of r_k weigh no more:
+    some least factorization uses r_k, and dropping it gives m(x) <=
+    m(x + r_k) - w_k; adding r_k gives the reverse.
+    (c) dn > max(r)^2 and F(S) < max(r)^2 - max(r) (Schur's bound on S/d),
+    so Ap(S; dn) is (S below dn) together with (gaps of S) + dn.  A
+    coordinate with a + r_k < dn has a + r_k in Ap(S; dn), so by (a) and
+    (b) every PF coordinate has a + r_k >= dn or a + r_k <= (r_k - 1) max(r).
+    A low one keeps every step a + r_j below max(r)^2, inside Ap(S; dn), so
+    its test is m(a + r_j) < m(a) + w_j for every j, free of n: the low PF
+    coordinates are one set at n and at n + r_k.  A high one is a = dn + c
+    with c in H, the multiples of d in [-r_k, 0) and the gaps of S, and
+    dn + c + r_j is in Ap(S; dn) iff c + r_j is in H, free of n again.  By
+    (b) d times, m(dn + d r_k + c) = m(dn + c) + d w_k for c >= -r_k, so a
+    step's tightness is the same at n and at n + r_k, and a -> a + d r_k
+    maps the high PF coordinates at n onto those at n + r_k."""
 
     n: int
     step: int
@@ -579,8 +619,8 @@ class PFTransportReport:
 def pf_transport(family: LinearFamily, n: int) -> PFTransportReport:
     """The PFTransportReport between P_n and P_{n + r_k} for a w_1 = 1 family
     and gcd(n, d) = 1, in the coordinates of :func:`_closed_form`.  Both PF
-    sets are computed directly, so the types are exact; the map is the shift
-    by d*r_k, wrong for coordinates a bounded distance from 0 (see the report)."""
+    sets are computed directly, so the types are exact; the map shifts the
+    coordinates within r_k of dn by d*r_k and keeps the others (see the report)."""
     rk = family.r[-1]
     here, there = _closed_form(family, n), _closed_form(family, n + rk)
     pf1 = family.instantiate(n).pseudo_frobenius()
@@ -590,7 +630,7 @@ def pf_transport(family: LinearFamily, n: int) -> PFTransportReport:
     f_n = tuple(i for i in here if i % n in res1)
     f_next = tuple(i for i in there if i % (n + rk) in res2)
     d = gcd(*family.r)  # r_1 = 0: the gcd of the positive offsets
-    mapping = tuple((i, i + d * rk) for i in f_n)
+    mapping = tuple((i, i + d * rk if i + rk >= d * n else i) for i in f_n)
     return PFTransportReport(
         n=n,
         step=rk,

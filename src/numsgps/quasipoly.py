@@ -20,6 +20,17 @@ def _poly_eval(coeffs, n):
     return acc
 
 
+def _integral(n) -> int:
+    """n as an int when it is integral, of any numeric type (4.0 and
+    Fraction(4) give 4); anything else raises ValueError naming n."""
+    try:
+        if int(n) == n:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"n={n!r} is not an integer")
+
+
 def _classes(samples, period: int, degree: int) -> dict[int, list[tuple[int, Fraction]]]:
     """Samples split by residue class mod period, each class sorted by n;
     raises when a sample has a non-integral n or a non-rational value, when
@@ -27,11 +38,11 @@ def _classes(samples, period: int, degree: int) -> dict[int, list[tuple[int, Fra
     classes: dict[int, list[tuple[int, Fraction]]] = {}
     for n, v in samples.items():
         try:
-            pt = (int(n), Fraction(v))
+            pt = (_integral(n), Fraction(v))
         except (TypeError, ValueError, OverflowError):
-            pt = None
-        if pt is None or pt[0] != n:
-            raise ValueError(f"sample n={n!r}, value {v!r}: needs an integer n and a rational value")
+            raise ValueError(
+                f"sample n={n!r}, value {v!r}: needs an integer n and a rational value"
+            ) from None
         classes.setdefault(pt[0] % period, []).append(pt)
     if not classes:
         raise ValueError("no samples")
@@ -88,6 +99,7 @@ class QuasiPolynomial:
     n_min: int
 
     def evaluate(self, n: int) -> Fraction:
+        n = _integral(n)
         s = n % self.period
         if self.coeffs[0][s] is None:
             raise ValueError(f"residue class {s} (mod {self.period}) carried no samples")

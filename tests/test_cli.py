@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -149,6 +150,11 @@ class TestDelta:
         assert code == 1 and out == ""
         assert err == "error: zero denominator in Fraction(1, 0)\n"
 
+    def test_weight_count_mismatch(self, capsys):
+        code, out, err = run(capsys, "delta", "6", "9", "20", "--weights", "1", "2")
+        assert code == 1 and out == ""
+        assert err == "error: 2 weights for 3 generators\n"
+
 
 @pytest.fixture
 def spec_file(tmp_path):
@@ -175,6 +181,31 @@ class TestFamily:
         code, out, _ = run(capsys, "family", "--spec", spec, "scan",
                            "--invariant", "genus", "--step", "2", "--json")
         assert json.loads(out)["rows"] == [[5, 12], [7, 24]]
+
+    def test_scan_without_range(self, capsys, spec_file):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        code, out, err = run(capsys, "family", "--spec", spec, "scan", "--invariant", "genus")
+        assert code == 1 and out == ""
+        assert err == 'error: no parameter range: pass --range A B or put "range" in the spec file\n'
+
+    def test_spec_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"w": [1, 1], "r": [0, 2]})))
+        code, out, _ = run(capsys, "family", "--spec", "-", "scan",
+                           "--invariant", "frobenius", "--range", "5", "11", "--step", "2", "--csv")
+        assert code == 0
+        assert out.splitlines() == ["5,23", "7,47", "9,79", "11,119"]
+
+    def test_fit_from_stdin(self, capsys, spec_file, monkeypatch):
+        spec = spec_file({"w": [1, 1], "r": [0, 2]})
+        fit = ["fit", "--invariant", "genus", "--degree", "2", "--period", "2", "--json"]
+        code, out, _ = run(capsys, "family", "--spec", spec, *fit, "--range", "5", "41", "--step", "2")
+        assert code == 0
+        scanned = json.loads(out)
+        code, out, _ = run(capsys, "family", "--spec", spec, "scan",
+                           "--invariant", "genus", "--range", "5", "41", "--step", "2", "--csv")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, _ = run(capsys, "family", "--spec", spec, *fit, "--from", "-")
+        assert code == 0 and json.loads(out) == scanned
 
     def test_scan_shifted_parameters(self, capsys, spec_file):
         # <n+5, n+7> at the user's n equals <m, m+2> at m = n+5
@@ -310,8 +341,12 @@ class TestFamily:
             ({"w": [1, 2], "r": [0, None]}, 'spec "r" must be a list of integers'),
             ({"polys": [[0, 1], [3, 1.0]]}, 'spec "polys" must be a list of integers'),
             ({"w": [1, 2], "r": [0, 1], "range": [5]}, 'spec "range" must be [start, end]'),
+            ({"polys": [[]]}, "empty coefficient list"),
+            ([1, 2], "family spec must be a JSON object, got [1, 2]"),
+            ({"polys": 5}, 'spec "polys" must be a list of integer lists, got 5'),
         ],
-        ids=["float-weight", "string-weights", "null-entry", "float-coefficient", "short-range"],
+        ids=["float-weight", "string-weights", "null-entry", "float-coefficient", "short-range",
+             "empty-polynomial", "not-an-object", "polys-not-a-list"],
     )
     def test_rejects_malformed_spec(self, capsys, spec_file, doc, message):
         spec = spec_file(doc)

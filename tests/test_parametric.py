@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -16,6 +17,7 @@ from numsgps import (
     Relation,
     Semigroup,
     TransportReport,
+    VerificationError,
     apery_at_multiple,
     betti_bijection,
     betti_elements,
@@ -24,6 +26,7 @@ from numsgps import (
     family_from_spec,
     fast_apery,
     min_delta_w,
+    minimal_presentation,
     pf_transport,
     phi,
     scan,
@@ -36,6 +39,7 @@ from numsgps import parametric, weighted
 
 EX53 = LinearFamily.normalize((3, 4, 6, 9), (1, 2, 4, 6))
 SMALL = LinearFamily.normalize((1, 1, 1), (0, 1, 2))
+F2 = LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6))
 
 
 class TestNormalize:
@@ -69,6 +73,20 @@ class TestNormalize:
             LinearFamily.normalize((0, 1), (1, 2))
         with pytest.raises(ValueError):
             LinearFamily((1, 1), (2, 0))  # ratios out of order
+
+    @pytest.mark.parametrize("w, r, message", [
+        ((1, 2), (0,), "w and r must be nonempty tuples of equal length"),
+        ((0, 1), (0, 1), "all w_i must be >= 1"),
+        ((1, 1), (0, -1), "normalized r_i must be >= 0"),
+        ((1, 1), (1, 2), "normalization requires 0 <= r_1 < w_1"),
+    ], ids=["unequal-lengths", "zero-weight", "negative-offset", "r1-not-below-w1"])
+    def test_direct_construction_rejects(self, w, r, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LinearFamily(w, r)
+
+    def test_normalize_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="w and r must be nonempty and of equal length"):
+            LinearFamily.normalize((1, 2), (0,))
 
 
 class TestInstantiate:
@@ -294,10 +312,22 @@ class TestPhi:
             phi(EX53, 506, Relation((1, 0, 0, 0), (0, 1, 0, 0), 0))
 
     def test_injective_and_difference_preserving(self):
-        rng = random.Random(67)
-        fam = SMALL
+        def dot(z, v):
+            return sum(a * b for a, b in zip(z, v))
+
+        def images(fam, n, rels):
+            # each image balances at n + p, at the degree phi gives it, and
+            # keeps its source's weighted length difference
+            later = fam.generators(n + fam.period)
+            out = [phi(fam, n, rel) for rel in rels]
+            for rel, im in zip(rels, out):
+                assert dot(im.left, later) == dot(im.right, later) == im.degree, (fam, n, rel)
+                dw = dot(rel.left, fam.w) - dot(rel.right, fam.w)
+                assert dot(im.left, fam.w) - dot(im.right, fam.w) == dw, (fam, n, rel)
+            return out
+
         n = 9
-        P = fam.instantiate(n)
+        P = SMALL.instantiate(n)
         rels = []
         for t in P.elements_up_to(60):
             zs = factorizations(P, t)
@@ -305,16 +335,10 @@ class TestPhi:
                 for b in zs:
                     if a < b:
                         rels.append(Relation(a, b, t))
-        images = [phi(fam, n, rel) for rel in rels]
-        assert len({(im.left, im.right) for im in images}) == len(rels)
-        for rel, im in zip(rels, images):
-            dw = sum(x * w for x, w in zip(rel.left, fam.w)) - sum(
-                x * w for x, w in zip(rel.right, fam.w)
-            )
-            dw2 = sum(x * w for x, w in zip(im.left, fam.w)) - sum(
-                x * w for x, w in zip(im.right, fam.w)
-            )
-            assert dw == dw2
+        assert len({(im.left, im.right) for im in images(SMALL, n, rels)}) == len(rels)
+        # weights other than 1 exercise the w_1, w_k and r_k terms of the degree
+        for fam, n in ((EX53, 100), (F2, 109)):
+            assert images(fam, n, minimal_presentation(fam.instantiate(n)))
 
 
 class TestTransport:
@@ -545,6 +569,18 @@ class TestFastApery:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("n, message", [
+        # 40 is the one mapped element outside the direct Apery set
+        (7, "closed-form Apery set differs from the direct one at n=7 (n > bound: False)"),
+        # the sets agree, but 10 has weighted lengths 1 and 2
+        (4, "Apery element 10 has weighted length set (Fraction(1, 1), Fraction(2, 1)), "
+            "expected a singleton"),
+    ], ids=["direct-set-differs", "singleton-failure"])
+    def test_fast_apery_raises_below_the_bound(self, n, message):
+        fam = LinearFamily.normalize((1, 1, 1), (0, 1, 6))
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            fast_apery(fam, n)
+
     @pytest.mark.parametrize("check", [fast_apery, pf_transport], ids=lambda f: f.__name__)
     def test_rejects_non_unit_first_weight(self, check):
         with pytest.raises(ValueError, match="requires w_1 = 1"):
@@ -571,24 +607,21 @@ class TestPFTransport:
         rep = pf_transport(fam, 10)
         assert rep.is_bijection and rep.types_equal
 
-    F2 = LinearFamily.normalize((1, 2, 3, 3), (0, 1, 4, 6))
-
     def test_known_failure_members(self):
         # the pseudo-Frobenius numbers and types the transport is judged on
-        P109, P115 = self.F2.instantiate(109), self.F2.instantiate(115)
+        P109, P115 = F2.instantiate(109), F2.instantiate(115)
         assert P109.pseudo_frobenius() == (548, 5885, 6100, 6102)
         assert P115.pseudo_frobenius() == (578, 6554, 6781, 6783)
-        rep = pf_transport(self.F2, 109)
+        rep = pf_transport(F2, 109)
         assert rep.in_guaranteed_regime and rep.types_equal
         assert rep.f_n == (3, 105, 107, 108)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the map i -> i + d*r_k also moves Apery coordinates a bounded "
-        "distance from 0, which stay put: 548 = 3 + 5*109 and 578 = 3 + 5*115",
-    )
     def test_known_failure_is_bijection(self):
-        assert pf_transport(self.F2, 109).is_bijection
+        # 3 + r_k <= (r_k - 1)*max(r) = 30, so 3 stays; 105, 107 and 108
+        # are within r_k of dn = 109 and move by d*r_k = 6
+        rep = pf_transport(F2, 109)
+        assert rep.mapping == ((3, 3), (105, 111), (107, 113), (108, 114))
+        assert rep.is_bijection
 
     def test_type_periodicity_window(self):
         fam = LinearFamily.normalize((1, 1, 1), (0, 2, 3))

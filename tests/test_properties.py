@@ -486,6 +486,8 @@ def test_pf_transport_matches_the_oracle(member):
         want += [tuple(sorted(a for a in (least[d * i] for i in range(m)) if a % m in classes)), len(pf)]
     rep = pf_transport(fam, n)
     assert [rep.f_n, rep.type_n, rep.f_next, rep.type_next] == want, (fam, n)
+    if n > fam.apery_bound:
+        assert rep.is_bijection, (fam, n)
 
 
 @st.composite

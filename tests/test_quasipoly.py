@@ -97,6 +97,21 @@ class TestFit:
         assert fit(floats, 2, 2) == fit(samples, 2, 2)
         assert detect(floats, 3, 2) == detect(samples, 3, 2) == (2, 2)
 
+    def test_evaluate_takes_integral_n_of_any_type(self):
+        qp = fit({n: n for n in range(10)}, 2, 1)
+        assert qp.evaluate(4.0) == qp.evaluate(Fraction(4)) == qp.evaluate(4) == 4
+        for n in (4.5, "3", None):
+            with pytest.raises(ValueError, match=re.escape(f"n={n!r} is not an integer")):
+                qp.evaluate(n)
+
+    @pytest.mark.parametrize("period, degree, message", [
+        (0, 1, "period must be >= 1"),
+        (1, -1, "degree must be >= 0"),
+    ], ids=["period-zero", "negative-degree"])
+    def test_fit_rejects_bad_shapes(self, period, degree, message):
+        with pytest.raises(ValueError, match=message):
+            fit({n: n for n in range(10)}, period, degree)
+
     def test_shift_equivariance(self):
         rng = random.Random(71)
         coeffs = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
