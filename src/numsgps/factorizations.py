@@ -20,7 +20,10 @@ component.  The search caches each Betti element's labels; graphs, minimal
 presentations and the verifier read them there, and run the kernel on a
 batch of one at any other element.  Minimal presentations enumerate nothing:
 each component's least member is the least factorization over its own
-generators, found greedily by :func:`_least`.
+generators, found greedily by :func:`_least`, which solves its last two
+generators in closed form with constants computed once per component.  The
+branch and bound takes a batch of elements and builds its levels once per
+sign for all of them (:func:`_extreme_lengths_of`).
 """
 
 from __future__ import annotations
@@ -126,23 +129,37 @@ def _extreme_lengths(S: Semigroup, t: int, iw) -> tuple[int, int]:
     w_j / g_j), whose slope in rest is w_j / g_j - w / g.  The loop over rest
     walks in the direction in which this bound only falls, so it stops at the
     first rest whose bound cannot beat the best length found.
+
+    This is the one-target case of :func:`_extreme_lengths_of`.
     """
-    if t < 0 or not S.contains(t):
-        raise ValueError(f"{t} is not an element of {S!r}")
-    x = t // S.d
-    return -_max_length(S, x, [-v for v in iw]), _max_length(S, x, iw)
+    return _extreme_lengths_of(S, (t,), iw)[0]
 
 
-def _max_length(S: Semigroup, x: int, iw) -> int:
-    """The largest z . iw over the factorizations z of the reduced element x
-    (see :func:`_extreme_lengths`)."""
+def _extreme_lengths_of(S: Semigroup, ts, iw) -> list[tuple[int, int]]:
+    """[(min, max) integer length z . iw over Z(t) for t in ts], in order; every
+    t must be an element, else the first that is not raises ValueError before
+    any search.  The branch and bound of :func:`_extreme_lengths` runs on each
+    t, over levels built once for iw and once for -iw."""
+    for t in ts:
+        if t < 0 or not S.contains(t):
+            raise ValueError(f"{t} is not an element of {S!r}")
+    hi = _levels(S, iw)
+    lo = _levels(S, [-v for v in iw])
+    m, i, d = hi[0][0], len(hi) - 1, S.d
+    return [(-_best(lo, m, i, t // d, 0, None), _best(hi, m, i, t // d, 0, None)) for t in ts]
+
+
+def _levels(S: Semigroup, iw) -> list:
+    """The branch and bound's levels under the integer weights iw: per
+    ``S._prefix_tables`` level, (g_i, w_i, the largest ratio (w_j, g_j) among
+    the generators below g_i or None at level 0, e, tab)."""
     levels, top = [], None
     for pos, g, e, tab in S._prefix_tables:
         w = iw[pos]
         levels.append((g, w, top, e, tab))
         if top is None or w * top[1] > top[0] * g:
             top = w, g
-    return _best(levels, levels[0][0], len(levels) - 1, x, 0, None)
+    return levels
 
 
 def _best(levels, m: int, i: int, r: int, acc: int, best):
@@ -319,19 +336,35 @@ def betti_elements(S: Semigroup) -> dict[int, int]:
 
 def _least(gens, t: int) -> tuple[int, ...] | None:
     """The lexicographically least z >= 0 with z . gens = t, or None; see
-    :func:`minimal_presentation` for the greedy and its two-generator form."""
-    g, *rest = gens
-    if not rest:
+    :func:`minimal_presentation` for the greedy and its two-generator form,
+    whose constants c, (g/c)^-1 mod h/c and h/c are computed once a call."""
+    if len(gens) == 1:
+        g = gens[0]
         return None if t % g else (t // g,)
-    if len(rest) == 1:
-        h = rest[0]
-        c = gcd(g, h)
-        if t % c:
+    *head, g, h = gens
+    c = gcd(g, h)
+    hc = h // c
+    inv = pow(g // c, -1, hc)
+
+    def pair(r: int) -> tuple[int, int] | None:
+        if r % c:
             return None
-        x = t // c * pow(g // c, -1, h // c) % (h // c)
-        return (x, (t - x * g) // h) if x * g <= t else None
-    for x in range(t // g + 1):
-        tail = _least(rest, t - x * g)
+        x = r // c * inv % hc
+        return (x, (r - x * g) // h) if x * g <= r else None
+
+    return _least_over(head, 0, t, pair)
+
+
+def _least_over(head, i: int, r: int, pair):
+    """The least counts of head[i:] that leave a remainder ``pair`` solves,
+    followed by its two counts, or None.  A module function, not a closure
+    that calls itself: such a closure is a reference cycle per call, which
+    only the garbage collector frees."""
+    if i == len(head):
+        return pair(r)
+    f = head[i]
+    for x in range(r // f + 1):
+        tail = _least_over(head, i + 1, r - x * f, pair)
         if tail is not None:
             return (x, *tail)
     return None
@@ -358,16 +391,26 @@ def minimal_presentation(S: Semigroup) -> tuple[Relation, ...]:
     the remainders t - x g that h divides are those with x congruent to
     (t/c)(g/c)^-1 mod h/c, so the least count is that residue x, feasible iff
     c | t and x g <= t; with more, each try recurses, and this closed form
-    ends the recursion.
+    ends the recursion.  Every try ends at the same last pair, so its
+    constants c, (g/c)^-1 mod h/c and h/c are computed once per component.
+    One pass over the labels groups each component's positions (label k
+    marks an unavailable generator), and its counts are written into a
+    k-list at those positions.
     """
     rels = []
     gens = S.generators
+    k = S.k
     for beta, labels in S._betti.items():
+        comps: dict[int, list[int]] = {}
+        for i, label in enumerate(labels):
+            if label < k:
+                comps.setdefault(label, []).append(i)
         least = []
-        for root in _roots(labels):
-            pos = [i for i, label in enumerate(labels) if label == root]
-            z = dict(zip(pos, _least([gens[i] for i in pos], beta)))
-            least.append(tuple(z.get(i, 0) for i in range(S.k)))
+        for pos in comps.values():
+            z = [0] * k
+            for i, count in zip(pos, _least([gens[i] for i in pos], beta)):
+                z[i] = count
+            least.append(tuple(z))
         base, *others = sorted(least)
         rels.extend(Relation(z, base, beta) for z in others)
     return tuple(rels)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, cmp_to_key, lru_cache, reduce
+from itertools import pairwise
 from math import gcd
 
 from .factorizations import (
     Relation,
-    _extreme_lengths,
+    _extreme_lengths_of,
     betti_elements,
     minimal_presentation,
     verify_minimal_presentation,
@@ -43,6 +44,13 @@ def _dot(z, v) -> int:
     return sum(a * b for a, b in zip(z, v))
 
 
+def _by_ratio(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Order (w, r) pairs by ascending r/w, ties by ascending w, by integer
+    cross-multiplication; both w must be >= 1, so the signs are safe."""
+    (wa, ra), (wb, rb) = a, b
+    return (ra * wb > rb * wa) - (ra * wb < rb * wa) or (wa > wb) - (wa < wb)
+
+
 @dataclass(frozen=True)
 class LinearFamily:
     """Normalized linear family: w positive integers, r non-negative integers,
@@ -63,8 +71,8 @@ class LinearFamily:
             raise ValueError("all w_i must be >= 1")
         if any(x < 0 for x in self.r):
             raise ValueError("normalized r_i must be >= 0")
-        ratios = [Fraction(ri, wi) for wi, ri in zip(self.w, self.r)]
-        if any(a > b for a, b in zip(ratios, ratios[1:])):
+        # w_i >= 1, so r_i/w_i > r_j/w_j iff r_i w_j > r_j w_i
+        if any(ri * wj > rj * wi for (wi, ri), (wj, rj) in pairwise(zip(self.w, self.r))):
             raise ValueError("generators must be ordered by ascending r_i/w_i")
         if not 0 <= self.r[0] < self.w[0]:
             raise ValueError("normalization requires 0 <= r_1 < w_1")
@@ -80,7 +88,7 @@ class LinearFamily:
             raise ValueError("w and r must be nonempty and of equal length")
         if any(x < 1 for x in w):
             raise ValueError("all w_i must be >= 1")
-        pairs = sorted(zip(w, r), key=lambda p: (Fraction(p[1], p[0]), p[0]))
+        pairs = sorted(zip(w, r), key=cmp_to_key(_by_ratio))
         w = tuple(p[0] for p in pairs)
         r = tuple(p[1] for p in pairs)
         s = -(r[0] // w[0])
@@ -256,21 +264,33 @@ def phi(family: LinearFamily, n: int, rel: Relation) -> Relation:
     here re-checks that: ``verify_minimal_presentation`` recomputes each
     image relation's balance and degree against the target's generators and
     reports any mismatch as a problem."""
+    return _phi_at(family, n)(rel)
+
+
+def _phi_at(family: LinearFamily, n: int):
+    """:func:`phi` at n as a function of the relation: the degenerate check
+    and the generators at n are done once, for a whole presentation."""
     if family.is_degenerate:
         raise ValueError("degenerate family: period zero, P_{n+p} = P_n")
     gens = family.generators(n)
-    beta = _dot(rel.left, gens)
-    if beta != _dot(rel.right, gens):
-        raise ValueError(f"{rel} is not a relation of the member at n={n}")
-    lw, rw = _dot(rel.left, family.w), _dot(rel.right, family.w)
-    ell = abs(lw - rw)
-    left, right = list(rel.left), list(rel.right)
-    heavy, light = (left, right) if lw > rw else (right, left)
-    heavy[0] += ell * family.w[-1]
-    light[-1] += ell * family.w[0]
-    # equal lengths keep their vectors, which a report then shares with its source
-    left, right = (tuple(left), tuple(right)) if ell else (rel.left, rel.right)
-    return Relation(left, right, _image_degree(family, n, beta, min(lw, rw), ell))
+    w = family.w
+    w1, wk = w[0], w[-1]
+
+    def move(rel: Relation) -> Relation:
+        beta = _dot(rel.left, gens)
+        if beta != _dot(rel.right, gens):
+            raise ValueError(f"{rel} is not a relation of the member at n={n}")
+        lw, rw = _dot(rel.left, w), _dot(rel.right, w)
+        ell = abs(lw - rw)
+        left, right = list(rel.left), list(rel.right)
+        heavy, light = (left, right) if lw > rw else (right, left)
+        heavy[0] += ell * wk
+        light[-1] += ell * w1
+        # equal lengths keep their vectors, which a report then shares with its source
+        left, right = (tuple(left), tuple(right)) if ell else (rel.left, rel.right)
+        return Relation(left, right, _image_degree(family, n, beta, min(lw, rw), ell))
+
+    return move
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,8 +321,7 @@ def transport_presentation(family: LinearFamily, n: int) -> TransportReport:
     verify the image is a minimal presentation of P_{n+p} (Betti degree
     multiset plus component spanning structure).  A mismatch is reported, not
     raised; it is guaranteed absent for n > transport_bound."""
-    if family.is_degenerate:
-        raise ValueError("degenerate family: period zero, P_{n+p} = P_n")
+    move = _phi_at(family, n)
     source = minimal_presentation(family.instantiate(n))
     target = family.instantiate(n + family.period)
     independent = minimal_presentation(target)
@@ -311,7 +330,7 @@ def transport_presentation(family: LinearFamily, n: int) -> TransportReport:
     own = {rel.degree: rel.degree for rel in independent}
     image = tuple(
         Relation(z.left, z.right, own.get(z.degree, z.degree))
-        for z in (phi(family, n, rel) for rel in source)
+        for z in map(move, source)
     )
     problems = verify_minimal_presentation(target, image)
     if independent == image:
@@ -385,7 +404,8 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     ratios.  So the extremes alone decide the set's shape: every length is
     lam plus a multiple of delta/g, so a spread max - min of 0 is {lam} and
     one of delta/g is {lam, lam + delta/g}.  The extremes come from the
-    branch and bound of ``factorizations._extreme_lengths``, and only an
+    branch and bound of ``factorizations._extreme_lengths_of``, whose levels
+    are built once per sign for all of Betti(P_n), and only an
     anomaly, a set of any other spread (never above the transport bound),
     enumerates Z(beta), as its report prints the whole set."""
     if family.is_degenerate:
@@ -399,8 +419,7 @@ def betti_bijection(family: LinearFamily, n: int) -> BettiBijectionReport:
     own = dict(zip(target, target))  # an image in Betti(P_{n+p}) is kept as the target's own int
     mapping = []
     anomalies = []
-    for beta in source:
-        lam, top = _extreme_lengths(P, beta, family.w)
+    for beta, (lam, top) in zip(source, _extreme_lengths_of(P, source, family.w)):
         spread = top - lam  # 0 or gap exactly when the set is {lam} or {lam, lam + gap}
         if spread in (0, gap):
             image = _image_degree(family, n, beta, lam, spread)

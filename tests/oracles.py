@@ -111,6 +111,29 @@ def brute_member(gens, x):
     return any(brute_member([first, *rest[1:]], x - c * rest[0]) for c in range(x // rest[0] + 1))
 
 
+def brute_least(gens, t):
+    """The lexicographically least z >= 0 with z . gens = t, or None.  Nested
+    ranges try every count of each generator but the last, first coordinate
+    outermost and each ascending, so the first tuple whose remainder the last
+    generator divides is the least; no modular inverse, unlike the library's
+    greedy."""
+    *head, last = gens
+
+    def counts(i, r):
+        if i == len(head):
+            yield ()
+            return
+        for c in range(r // head[i] + 1):
+            for tail in counts(i + 1, r - c * head[i]):
+                yield (c, *tail)
+
+    for z in counts(0, t):
+        rest = t - sum(c * g for c, g in zip(z, head))
+        if rest % last == 0:
+            return (*z, rest // last)
+    return None
+
+
 def brute_members(gens, bound):
     """Set of representable integers <= bound via plain reachability DP."""
     reach = [False] * (bound + 1)

@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from numsgps import (
     BettiBijectionReport,
@@ -83,6 +85,26 @@ class TestNormalize:
     def test_direct_construction_rejects(self, w, r, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             LinearFamily(w, r)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-8, 8)), min_size=1, max_size=6))
+    @example([(2, 2), (1, 1), (3, 3), (1, 1), (4, 0), (2, -1)])  # equal ratios, repeats
+    @example([(3, 1), (6, 2), (1, 0), (2, 0)])
+    def test_ratio_order_is_the_fraction_order(self, pairs):
+        # ascending r/w, ties by ascending w, equal pairs kept: the order of
+        # the Fraction key, compared here without it
+        fam = LinearFamily.normalize(*zip(*pairs))
+        want = sorted(pairs, key=lambda p: (Fraction(p[1], p[0]), p[0]))
+        assert [(wi, ri - wi * fam.shift) for wi, ri in zip(fam.w, fam.r)] == want
+        # direct construction accepts the pairs as given iff their ratios ascend
+        w, r = zip(*pairs)
+        ratios = [Fraction(ri, wi) for wi, ri in zip(w, r)]
+        valid = 0 <= r[0] < w[0] and min(r) >= 0
+        if valid and ratios != sorted(ratios):
+            with pytest.raises(ValueError, match="ascending r_i/w_i"):
+                LinearFamily(w, r)
+        elif valid:
+            assert LinearFamily(w, r).w == w
 
     def test_normalize_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="w and r must be nonempty and of equal length"):

@@ -16,6 +16,7 @@ from oracles import (
     brute_component_labels,
     brute_components,
     brute_factorization_table,
+    brute_least,
     brute_member,
     brute_members,
     brute_pseudo_frobenius,
@@ -45,7 +46,14 @@ from numsgps import (
     verify_weighted_recurrences,
     weighted_delta_profile,
 )
-from numsgps.factorizations import BETTI_CHUNK, _betti_search, _components, _extreme_lengths
+from numsgps.factorizations import (
+    BETTI_CHUNK,
+    _betti_search,
+    _components,
+    _extreme_lengths,
+    _extreme_lengths_of,
+    _least,
+)
 from numsgps.weighted import _extremes, _lengths
 
 # up to four distinct generators in 2..15, in any order (kept as supplied)
@@ -559,6 +567,14 @@ def test_extreme_lengths_match_the_enumerated_oracle(gens, scale, weights):
     for t, lengths in enumerate(table):
         if lengths:
             assert _extreme_lengths(S, t, iw) == (min(lengths), max(lengths)), t
+    # the batched form: every element at once, in any order and repeated, is
+    # the enumerated oracle and the one-target calls, in order
+    elements = [t for t, lengths in enumerate(table) if lengths]
+    batch = elements[::-1] + elements[: len(elements) // 2]
+    assert _extreme_lengths_of(S, batch, iw) == [
+        (min(table[t]), max(table[t])) for t in batch
+    ] == [_extreme_lengths(S, t, iw) for t in batch]
+    assert _extreme_lengths_of(S, [], iw) == []
     # the pass over two order ideals of S: every t up to the table's bound
     # (non-elements get no entry), and an Apery set
     for ideal in (range(len(table)), sorted(S.apery_set(S.generators[-1]))):
@@ -572,6 +588,30 @@ def test_extreme_lengths_match_the_enumerated_oracle(gens, scale, weights):
         with pytest.raises(ValueError) as got:
             _extreme_lengths(S, t, iw)
         assert str(got.value) == str(want.value)
+        # in a batch, after and before elements
+        for batch in ([0, *elements[:3], t], [t, 0]):
+            with pytest.raises(ValueError) as got:
+                _extreme_lengths_of(S, batch, iw)
+            assert str(got.value) == str(want.value)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    st.lists(st.sampled_from([1, 1, 2, 3]), min_size=4, max_size=4),
+    st.integers(0, 60),
+)
+@example([4, 6], [1, 1, 1, 1], 9)  # a pair with gcd 2, an odd target: None
+@example([3, 4, 6], [1, 1, 1, 1], 5)  # a last pair with gcd 2 that no count of 3 helps
+@example([3, 4, 6], [1, 1, 1, 1], 7)
+@example([5, 2, 7, 3], [1, 1, 1, 1], 1)  # below every generator: None
+@example([6, 10, 15], [1, 1, 1, 1], 29)
+@example([2, 2, 4], [3, 1, 1, 1], 10)  # repeated generators
+def test_least_matches_the_brute_force_oracle(gens, scales, t):
+    # 1 to 4 generators in any order, repeats allowed; the scales give pairs
+    # with gcd > 1 and targets no count reaches
+    gens = [g * s for g, s in zip(gens, scales)]
+    assert _least(gens, t) == brute_least(gens, t)
 
 
 def largest_recurrence_failure(table, g, wt, pick):
